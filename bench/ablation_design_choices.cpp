@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out: structure
+// Ablations for the main design choices: structure
 // refinement (Section 7.2), the Appendix-E term scorer, the maximum path
 // length theta (Section 8.2), and token-aligned labels. Reports grouping
 // cost and group counts on the Address analog.

@@ -9,8 +9,8 @@
 // agreement signal they depend on.
 //
 // Correctness of a golden value is judged by the majority ground-truth id
-// among the cells supporting the winning string (see DESIGN.md: cell
-// identities survive standardization, strings do not).
+// among the cells supporting the winning string: cell identities survive
+// standardization, strings do not.
 #include <cstdio>
 #include <map>
 

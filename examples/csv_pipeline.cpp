@@ -67,8 +67,9 @@ int main() {
     if (!trace.approved) continue;
     Result<Program> program = ParseProgram(trace.program);
     if (!program.ok()) continue;
+    // No member pairs: replay generalizes to every consistent pair.
     approved.push_back(ApprovedTransformation{
-        "address", std::move(program).value(), trace.direction});
+        "address", std::move(program).value(), trace.direction, {}});
   }
   std::string log = SerializeTransformationLog(approved);
   printf("\n== transformation log (%zu entries) ==\n%s",

@@ -1,7 +1,7 @@
 // Synthetic generators for the paper's three datasets (Section 8). Each
 // generator produces clustered values exhibiting the same transformation
-// families as the original data, plus exact ground truth (DESIGN.md
-// documents the substitution). All generators are deterministic in the
+// families as the original data (Table 6), plus exact ground truth, and
+// stand in for those datasets. All generators are deterministic in the
 // seed. The `scale` field multiplies the cluster count, so benches can run
 // anywhere from smoke-test to paper-size workloads.
 #ifndef USTL_DATAGEN_GENERATORS_H_

@@ -43,7 +43,7 @@
 // budgets make results depend on how much the previous searches spent —
 // those configurations keep the documented lazy serial scan.
 //
-// Deviation from the paper (see DESIGN.md): Algorithm 7 initializes the
+// Deviation from the paper: Algorithm 7 (Section 6) initializes the
 // pruning threshold to tau (the largest lower bound), which misses a
 // largest group of size exactly tau; we use tau - 1.
 #ifndef USTL_GROUPING_INCREMENTAL_H_
@@ -145,12 +145,6 @@ struct IncrementalStats {
   /// (IncrementalOptions::shared_cache): DFS work another engine already
   /// paid for.
   uint64_t warm_hits = 0;
-  /// Block-codec cursor counters, summed over every search this engine
-  /// ran (0 on raw indexes; see pivot_search.h). Like expansions these
-  /// are statistics, not state: skips and prunes never change a group.
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t joins_pruned = 0;
   /// True once the engine gave up exactness: some search truncated or the
   /// total expansion budget ran out.
   bool truncated = false;

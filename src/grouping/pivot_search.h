@@ -1,11 +1,10 @@
 // SearchPivot (Algorithm 3) with the local and global threshold-based
 // early terminations of Algorithm 4. The DFS maintains the current path
 // rho, the posting list of spans where rho matches, and the node reached
-// in the searched graph; outgoing (label, edge) pairs are visited in
-// ascending LabelId order, so paths are enumerated lexicographically and
-// the first-found maximum is the lexicographically smallest pivot path —
-// this canonical choice makes all grouping variants agree under count
-// ties (see DESIGN.md).
+// in the searched graph; outgoing (label, edge) pairs are visited in one
+// run-wide total order on labels (see Dfs), so the first-found maximum is
+// a canonical pivot path — this choice makes all grouping variants agree
+// under count ties.
 #ifndef USTL_GROUPING_PIVOT_SEARCH_H_
 #define USTL_GROUPING_PIVOT_SEARCH_H_
 
@@ -43,14 +42,6 @@ class PivotSearcher {
     int count = 0;                  // members.size()
     uint64_t expansions = 0;        // DFS nodes visited (for Figure 9)
     bool truncated = false;         // hit max_expansions
-    // Block-codec cursor statistics (always 0 on raw indexes). Skips and
-    // prunes never change the search outcome — skipped blocks provably
-    // contribute nothing and pruned joins are results the threshold
-    // checks would discard — so these move with the codec while every
-    // field above stays byte-identical.
-    uint64_t blocks_skipped = 0;    // blocks rejected on graph bounds
-    uint64_t blocks_decoded = 0;    // blocks actually decoded
-    uint64_t joins_pruned = 0;      // joins abandoned below the threshold
   };
 
   PivotSearcher(const GraphSet* set, Options options)

@@ -118,7 +118,7 @@ TEST(IntegrationTest, GroupBeatsWranglerOnRecall) {
 TEST(IntegrationTest, TruthDiscoveryImprovesAfterStandardization) {
   // Table 8's mechanism: majority consensus resolves more clusters
   // correctly once variants are consolidated. Measured by supporter truth
-  // ids (see DESIGN.md).
+  // ids (see bench/table8_truth_discovery.cpp).
   AddressGenOptions options;
   options.scale = 0.12;
   GeneratedDataset data = GenerateAddressDataset(options);

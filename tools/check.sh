@@ -39,23 +39,18 @@ cmp build/smoke_serial.csv build/smoke_parallel.csv
 cmp build/smoke_serial.csv build/smoke_nocache.csv
 echo "column-parallel smoke: byte-identical"
 
-# Wave-scan / search-cache / index-codec byte-compare (ISSUE 4 + ISSUE 6
-# acceptance): grouped output — and therefore the standardized table —
-# must be byte-identical across --threads {1,4} x --search-cache {on,off}
-# x --index-codec {raw,block}. The serial cache-on raw run is the
+# Wave-scan / search-cache byte-compare: grouped output — and therefore
+# the standardized table — must be byte-identical across --threads {1,4}
+# x --search-cache {on,off}. The serial cache-on run is the
 # smoke_serial.csv baseline above.
 for config in "--threads 4" "--search-cache off" \
-              "--threads 4 --search-cache off" \
-              "--index-codec block" \
-              "--index-codec block --threads 4" \
-              "--index-codec block --search-cache off" \
-              "--index-codec block --threads 4 --search-cache off"; do
+              "--threads 4 --search-cache off"; do
   # shellcheck disable=SC2086
   ./build/ustl-consolidate --input build/smoke_columns.csv \
     --output build/smoke_wave.csv --approve all --budget 40 $config
   cmp build/smoke_serial.csv build/smoke_wave.csv
 done
-echo "wave-scan/search-cache/index-codec smoke: byte-identical"
+echo "wave-scan/search-cache smoke: byte-identical"
 
 # Multi-table serving byte-compare (ISSUE 5 acceptance): three concurrent
 # tables through one long-lived ustl-serve service must match a serial
@@ -94,16 +89,6 @@ for threads in 1 4; do
 done
 echo "multi-table serve smoke: byte-identical"
 
-# One block-codec serve pass: the compressed index must not perturb the
-# long-lived service either (same goldens, warm and cold rounds).
-./build/ustl-serve --manifest build/serve_fwd.txt --threads 4 --repeat 2 \
-  --index-codec block
-for t in a b c; do
-  cmp build/serve_$t.base.csv build/serve_$t.out.csv
-  cmp build/serve_$t.base.csv build/serve_$t.out.csv.r2
-done
-echo "block-codec serve smoke: byte-identical"
-
 # Fault-sweep byte-compare (ISSUE 7 acceptance): the same three tables
 # under an eventually-successful fault plan (every faulty backend call
 # recovers within the retry budget) must still match the clean serial
@@ -127,22 +112,18 @@ echo "fault-sweep serve smoke: byte-identical"
 
 # Observability byte-compare (ISSUE 8 acceptance): the same manifest with
 # --trace-out and --metrics-out armed must still match the serial
-# baselines byte for byte across threads {1,4} x codec {raw,block} —
-# tracing records, never perturbs — and every emitted span stream must
-# pass the structural validator (id ordering, interval containment, one
-# root per request).
+# baselines byte for byte across threads {1,4} — tracing records, never
+# perturbs — and every emitted span stream must pass the structural
+# validator (id ordering, interval containment, one root per request).
 for threads in 1 4; do
-  for codec in raw block; do
-    ./build/ustl-serve --manifest build/serve_fwd.txt --threads "$threads" \
-      --index-codec "$codec" \
-      --trace-out "build/serve_trace_${threads}_${codec}.jsonl" \
-      --metrics-out build/serve_metrics.prom
-    for t in a b c; do
-      cmp build/serve_$t.base.csv build/serve_$t.out.csv
-    done
-    python3 tools/check_trace.py \
-      "build/serve_trace_${threads}_${codec}.jsonl" --min-requests 3
+  ./build/ustl-serve --manifest build/serve_fwd.txt --threads "$threads" \
+    --trace-out "build/serve_trace_${threads}.jsonl" \
+    --metrics-out build/serve_metrics.prom
+  for t in a b c; do
+    cmp build/serve_$t.base.csv build/serve_$t.out.csv
   done
+  python3 tools/check_trace.py \
+    "build/serve_trace_${threads}.jsonl" --min-requests 3
 done
 grep -q "ustl_requests_completed_total" build/serve_metrics.prom
 echo "observability serve smoke: byte-identical + traces valid"
@@ -151,33 +132,30 @@ echo "observability serve smoke: byte-identical + traces valid"
 # armed — CPU-attributed profiling (--profile-out), deterministic 1-in-N
 # trace sampling (--trace-sample) and the always-on flight recorder with
 # a stall watchdog — must still match the serial baselines byte for byte
-# across threads {1,4} x codec {raw,block}. Each profile dump must pass
-# the conservation validator together with its collapsed-stack twin, the
-# sampled stream must stay structurally valid, and a clean run must dump
-# nothing (the recorder speaks only when something goes wrong).
+# across threads {1,4}. Each profile dump must pass the conservation
+# validator together with its collapsed-stack twin, the sampled stream
+# must stay structurally valid, and a clean run must dump nothing (the
+# recorder speaks only when something goes wrong).
 for threads in 1 4; do
-  for codec in raw block; do
-    : > build/serve_flight_clean.jsonl
-    ./build/ustl-serve --manifest build/serve_fwd.txt --threads "$threads" \
-      --index-codec "$codec" \
-      --profile-out "build/serve_profile_${threads}_${codec}.json" \
-      --trace-out "build/serve_sampled_${threads}_${codec}.jsonl" \
-      --trace-sample 2 \
-      --flight-dump build/serve_flight_clean.jsonl \
-      --stall-threshold-ms 60000
-    for t in a b c; do
-      cmp build/serve_$t.base.csv build/serve_$t.out.csv
-    done
-    python3 tools/check_trace.py \
-      "build/serve_sampled_${threads}_${codec}.jsonl" --min-requests 1
-    python3 tools/check_trace.py \
-      --profile "build/serve_profile_${threads}_${codec}.json" \
-      --folded "build/serve_profile_${threads}_${codec}.json.folded"
-    if [ -s build/serve_flight_clean.jsonl ]; then
-      echo "flight recorder dumped on a clean run"
-      exit 1
-    fi
+  : > build/serve_flight_clean.jsonl
+  ./build/ustl-serve --manifest build/serve_fwd.txt --threads "$threads" \
+    --profile-out "build/serve_profile_${threads}.json" \
+    --trace-out "build/serve_sampled_${threads}.jsonl" \
+    --trace-sample 2 \
+    --flight-dump build/serve_flight_clean.jsonl \
+    --stall-threshold-ms 60000
+  for t in a b c; do
+    cmp build/serve_$t.base.csv build/serve_$t.out.csv
   done
+  python3 tools/check_trace.py \
+    "build/serve_sampled_${threads}.jsonl" --min-requests 1
+  python3 tools/check_trace.py \
+    --profile "build/serve_profile_${threads}.json" \
+    --folded "build/serve_profile_${threads}.json.folded"
+  if [ -s build/serve_flight_clean.jsonl ]; then
+    echo "flight recorder dumped on a clean run"
+    exit 1
+  fi
 done
 # A forced deadline-exceeded request (every backend call slowed past a
 # 1 ms deadline) must leave schema-valid flight-recorder dumps with the
@@ -249,13 +227,12 @@ grep -q "ustl_requests_completed_total" build/drain_metrics.prom
 test -f build/persist_smoke/snapshot.bin
 echo "graceful drain smoke: clean exit + final snapshot"
 
-# Perf-regression gate (ISSUE 6 + 7 + 10 acceptance): rerun the
-# self-checking micro-kernel suite plus the robustness legs and gate
-# their hardware-independent metrics (speedup_vs_seed, compression_ratio,
-# zero allocs, nonzero skip/prune counters, retries recovered with
-# byte-identical output, breaker trips, bounded cancel latency, <=2%
-# zero-fault overhead, <=2% full-diagnosis observability overhead with
-# ring insertion and folding engaged) against the recorded BENCH_*
+# Perf-regression gate: rerun the micro-kernel suite plus the
+# robustness legs and gate their hardware-independent metrics
+# (speedup_vs_seed, zero allocs, retries recovered with byte-identical
+# output, breaker trips, bounded cancel latency, <=2% zero-fault
+# overhead, <=2% full-diagnosis observability overhead with ring
+# insertion and folding engaged) against the recorded BENCH_*
 # trajectory.
 # Set USTL_CHECK_SKIP_BENCH=1 to skip (e.g. on heavily loaded boxes).
 if [ "${USTL_CHECK_SKIP_BENCH:-0}" != "1" ]; then

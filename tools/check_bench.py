@@ -5,11 +5,11 @@ Compares a fresh bench run (bench_micro_kernels plus
 bench_robustness_serve, JSON lines on a file or stdin) against the most
 recent recorded BENCH_*_posting_codec.json and fails on a >15%
 regression. Only hardware-independent *ratio* metrics are gated —
-speedups, compression ratios, allocation counts, skip/prune activity —
-never absolute nanoseconds: CI boxes and the box that recorded the
-trajectory do not share a clock, but they must agree that the fused
-kernel beats the seed kernel, that the block codec halves the index, and
-that the skip/prune/zero-alloc machinery actually engages.
+speedups, allocation counts, fault/retry/overhead facts — never
+absolute nanoseconds: CI boxes and the box that recorded the trajectory
+do not share a clock, but they must agree that the fused kernel beats
+the seed kernel and that the zero-alloc and robustness machinery
+actually engages.
 
 Usage:
   check_bench.py --fresh fresh.json [--recorded BENCH_....json]
@@ -33,20 +33,6 @@ GATES = {
     ("posting_extend_kernel", "fused"): [
         ("speedup_vs_seed", "ratio_min", None),
         ("allocs_per_extend", "exact_max", 0.0),
-    ],
-    ("posting_codec_memory", "block"): [
-        ("compression_ratio", "ratio_min", None),
-        # The ISSUE 6 acceptance floor, independent of the recording.
-        ("compression_ratio", "floor", 2.0),
-    ],
-    ("skip_join_kernel", "block"): [
-        ("blocks_skipped", "nonzero", None),
-        ("blocks_decoded", "nonzero", None),
-        ("allocs_per_extend", "exact_max", 0.0),
-    ],
-    ("pivot_search_codec", "block"): [
-        ("blocks_skipped", "nonzero", None),
-        ("joins_pruned", "nonzero", None),
     ],
     # Robustness legs (ISSUE 7) gate only hardware-independent facts: the
     # fault machinery engaged, nothing exhausted its retry budget, output
@@ -174,11 +160,6 @@ def main():
                         f"{value:.3f} < {minimum:.3f} "
                         f"(recorded {baseline:.3f}, "
                         f"tolerance {args.tolerance:.0%})")
-            elif kind == "floor":
-                if float(value) < bound:
-                    failures.append(
-                        f"{bench}/{variant}: {metric} {value:.3f} below the "
-                        f"acceptance floor {bound:.3f}")
             elif kind == "exact_max":
                 if float(value) > bound:
                     failures.append(
