@@ -1,8 +1,8 @@
 // Column-parallel consolidation pipeline bench. A multi-column table
 // (the Address analog replicated into several attribute columns — the
 // workload a multi-source feed produces, where the same variant families
-// recur across columns) is standardized through the ColumnScheduler +
-// OracleBroker under every configuration of the acceptance matrix:
+// recur across columns) is standardized through RunConsolidationPipeline
+// and its OracleBroker under every configuration of the acceptance matrix:
 // --threads {1,4} x column-parallel {on,off} x oracle cache {on,off}.
 //
 // Emits one JSON line per configuration so runs land in the bench
@@ -103,13 +103,13 @@ int main() {
            "\"columns\": %zu, \"clusters\": %zu, \"hardware_threads\": %u, "
            "\"seconds\": %.4f, \"speedup\": %.2f, \"questions\": %zu, "
            "\"oracle_calls\": %zu, \"cache_hits\": %zu, "
-           "\"max_batch\": %zu, \"byte_identical\": %s}\n",
+           "\"byte_identical\": %s}\n",
            config.threads, config.column_parallel ? "true" : "false",
            config.cache ? "true" : "false", kColumns, data.column.size(),
            cores, result.seconds,
            result.seconds > 0 ? baseline.seconds / result.seconds : 0.0,
            result.stats.questions, result.stats.backend_calls,
-           result.stats.cache_hits, result.stats.max_batch,
+           result.stats.cache_hits,
            result.fingerprint == baseline.fingerprint ? "true" : "false");
   }
 

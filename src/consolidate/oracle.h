@@ -66,9 +66,9 @@ struct QuestionContext {
 };
 
 /// Interface the framework consults once per presented group. Callers
-/// serialize invocations (the column-parallel pipeline funnels all
-/// questions through one combiner thread at a time), so implementations
-/// need not be thread-safe.
+/// serialize invocations (the column-parallel pipeline's broker lets one
+/// asking thread at a time into the backend), so implementations need
+/// not be thread-safe.
 class VerificationOracle {
  public:
   virtual ~VerificationOracle() = default;

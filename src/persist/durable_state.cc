@@ -16,18 +16,6 @@ constexpr uint8_t kTagApproved = 2;
 constexpr char kSnapshotFile[] = "snapshot.bin";
 constexpr char kWalFile[] = "wal.log";
 
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
 void PutStr(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
@@ -49,10 +37,7 @@ struct Reader {
   }
   uint32_t U32() {
     if (left < 4) return Fail<uint32_t>();
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<uint8_t>(p[i]);
-    }
+    const uint32_t v = GetU32(p);
     p += 4;
     left -= 4;
     return v;

@@ -10,37 +10,13 @@
 #include <cstring>
 
 #include "persist/crash_point.h"
-#include "persist/wal.h"  // Crc32c
+#include "persist/wal.h"  // Crc32c, PutU32/GetU32
 
 namespace ustl {
 
 namespace {
 
 constexpr char kMagic[8] = {'U', 'S', 'T', 'L', 'S', 'N', 'P', '1'};
-
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
 
 Status WriteAllFd(int fd, const std::string& data) {
   size_t off = 0;

@@ -39,6 +39,30 @@ namespace ustl {
 uint32_t Crc32c(const void* data, size_t size);
 inline uint32_t Crc32c(std::string_view s) { return Crc32c(s.data(), s.size()); }
 
+/// Little-endian fixed-width integers, the one byte order of every WAL,
+/// snapshot and durable-record field. GetU32/GetU64 read exactly 4/8
+/// bytes at `p`; callers check the bounds.
+inline void PutU32(std::string* out, uint32_t v) {
+  out->push_back(static_cast<char>(v & 0xFF));
+  out->push_back(static_cast<char>((v >> 8) & 0xFF));
+  out->push_back(static_cast<char>((v >> 16) & 0xFF));
+  out->push_back(static_cast<char>((v >> 24) & 0xFF));
+}
+inline void PutU64(std::string* out, uint64_t v) {
+  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
+  PutU32(out, static_cast<uint32_t>(v >> 32));
+}
+inline uint32_t GetU32(const char* p) {
+  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
+         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
+         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
+         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
+}
+inline uint64_t GetU64(const char* p) {
+  return static_cast<uint64_t>(GetU32(p)) |
+         static_cast<uint64_t>(GetU32(p + 4)) << 32;
+}
+
 enum class FsyncPolicy : uint8_t { kNone, kBatch, kAlways };
 
 /// Parses "none" | "batch" | "always".

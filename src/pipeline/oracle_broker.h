@@ -8,10 +8,12 @@
 //     the pair list; no per-question key string is materialized) — so a
 //     group that shows up in several columns (or again after a replay)
 //     costs one oracle call;
-//   * batches: questions arriving while another thread is talking to the
-//     oracle queue up and are drained by that thread in one combining
-//     sweep (flat combining), so the backend sees bursts of cross-column
-//     questions instead of interleaved single calls and is never invoked
+//   * serializes: each asker makes its own backend call on its own
+//     thread, one call at a time. A miss waits until the backend is idle
+//     and then looks the cache up again, so concurrent same-key asks
+//     reach the backend once. Cache hits never wait behind a call. The
+//     paper asks one yes/no question per group, so there is nothing to
+//     batch: the backend sees single calls and is never entered
 //     concurrently;
 //   * logs: every approved verdict with a parseable pivot program is
 //     recorded as an ApprovedTransformation. The log is deduplicated and
@@ -21,14 +23,14 @@
 //
 // Correctness under reordering relies on the oracle order-independence
 // contract (consolidate/oracle.h): a cached verdict equals the verdict a
-// fresh call would return, so caching and batching change only *how many*
-// questions the backend sees, never a single output byte.
+// fresh call would return, so caching and the order in which waiting
+// askers reach the backend change only *how many* questions the backend
+// sees, never a single output byte.
 #ifndef USTL_PIPELINE_ORACLE_BROKER_H_
 #define USTL_PIPELINE_ORACLE_BROKER_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <list>
 #include <map>
 #include <mutex>
@@ -45,21 +47,19 @@ namespace ustl {
 
 /// Counters for the bench harnesses and the CLI summary. `questions` is
 /// what the framework asked, `backend_calls` what the human actually
-/// answered; the gap is `cache_hits`. A batch is one combining sweep; in a
-/// serial run every batch has size 1.
+/// answered; the gap is `cache_hits`.
 struct OracleBrokerStats {
   size_t questions = 0;
   size_t backend_calls = 0;
   size_t cache_hits = 0;
-  size_t batches = 0;
-  size_t max_batch = 0;
   /// Verdicts dropped by the LRU bound (Options::max_cache_entries). An
   /// evicted question re-asks the backend on its next appearance; the
   /// order-independence contract keeps the re-asked verdict identical.
   size_t evictions = 0;
-  /// Questions parked in the combining queue at the stats() snapshot —
-  /// an instantaneous depth, not a counter. Nonzero in a flight-recorder
-  /// dump means requests were blocked on the oracle when it fired.
+  /// Askers waiting for another thread's backend call at the stats()
+  /// snapshot — an instantaneous depth, not a counter. Nonzero in a
+  /// flight-recorder dump means requests were blocked on the oracle when
+  /// it fired.
   size_t pending = 0;
 };
 
@@ -110,7 +110,7 @@ class OracleBroker : public VerificationOracle {
  public:
   struct Options {
     /// Cache verdicts by question content. Off = every question reaches
-    /// the backend (the broker still batches and still builds the log).
+    /// the backend (the broker still serializes and still builds the log).
     bool cache_verdicts = true;
     /// Upper bound on cached verdicts; least-recently-used entries are
     /// evicted past it (stats().evictions counts them). 0 = unbounded —
@@ -168,19 +168,6 @@ class OracleBroker : public VerificationOracle {
   OracleDurableState ExportDurableState() const;
 
  private:
-  struct Request {
-    SearchCacheKey key;
-    const std::vector<StringPair>* pairs = nullptr;
-    QuestionContext context;
-    Verdict verdict;
-    bool done = false;
-    /// Set when this request failed instead of being answered: its own
-    /// backend call threw (only the asking request fails — the combiner
-    /// keeps draining the rest), it was cancelled while batched, or a
-    /// non-backend combiner failure poisoned the whole batch. The
-    /// waiting thread rethrows it; no cache or log entry exists for it.
-    std::exception_ptr error;
-  };
   /// Log key: one entry per distinct approved (column, program,
   /// direction) — replay.h semantics, where the column *name* scopes a
   /// transformation.
@@ -192,6 +179,11 @@ class OracleBroker : public VerificationOracle {
                      const std::vector<StringPair>& pairs,
                      const Verdict& verdict);
 
+  /// Requires mutex_. On a cache hit: counts it, logs the verdict, copies
+  /// it to `verdict` and returns true. Always false with the cache off.
+  bool ServeFromCache(const SearchCacheKey& key,
+                      const std::vector<StringPair>& pairs,
+                      const QuestionContext& context, Verdict* verdict);
   /// Requires mutex_. Cache lookup that refreshes the entry's LRU
   /// position; null on a miss.
   const Verdict* CacheFind(const SearchCacheKey& key);
@@ -208,12 +200,13 @@ class OracleBroker : public VerificationOracle {
   VerificationOracle* backend_;
   Options options_;
   mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
+  /// Signalled whenever backend_busy_ drops to false.
+  std::condition_variable backend_idle_;
   std::unordered_map<SearchCacheKey, CacheEntry, SearchCacheKeyHash> cache_;
   /// Cache keys, most recently used first; entries point into it.
   std::list<SearchCacheKey> recency_;
-  std::vector<Request*> queue_;
-  bool draining_ = false;
+  /// True while one asker is inside the backend call.
+  bool backend_busy_ = false;
   OracleBrokerStats stats_;
   /// Durability hook (null = no persistence). Fired under mutex_ on new
   /// cache inserts and new/updated log records.

@@ -7,35 +7,31 @@
 
 namespace ustl {
 
-ColumnScheduler::ColumnScheduler(PipelineOptions options)
-    : options_(std::move(options)) {}
-
-PipelineRun ColumnScheduler::Run(Table* table,
-                                 VerificationOracle* backend) const {
+PipelineRun RunConsolidationPipeline(Table* table,
+                                     VerificationOracle* backend,
+                                     const PipelineOptions& options) {
   // One-shot delegation to the serving layer: a fresh service scoped to
-  // this call (cold broker and search cache, per the historical per-Run
-  // lifetime), one request, drained synchronously. The service reproduces
-  // the scheduler's budgeting — max_concurrent_jobs = 1 is the serial
-  // column loop with the whole budget handed to each engine; otherwise
-  // jobs split the budget — and its commit/fingerprint discipline is the
-  // one this layer pioneered, so output is unchanged byte for byte.
+  // this call (cold broker and search cache), one request, drained
+  // synchronously. max_concurrent_jobs = 1 is the serial column loop with
+  // the whole budget handed to each engine; otherwise jobs split the
+  // budget.
   ServiceOptions service_options;
-  service_options.framework = options_.framework;
-  service_options.num_threads = options_.num_threads;
+  service_options.framework = options.framework;
+  service_options.num_threads = options.num_threads;
   // Unlike the open-ended service, this facade knows the whole workload
   // is one table: capping concurrent jobs at the column count makes the
   // per-job split budget / min(budget, columns), so a wide budget over a
   // narrow table still reaches the grouping engines instead of idling.
   service_options.max_concurrent_jobs =
-      options_.column_parallel
+      options.column_parallel
           ? static_cast<int>(std::min<size_t>(
                 table->num_columns(), static_cast<size_t>(INT_MAX)))
           : 1;
-  service_options.broker = options_.broker;
-  service_options.share_search_cache = options_.warm_search_cache;
+  service_options.broker = options.broker;
+  service_options.share_search_cache = options.warm_search_cache;
   ConsolidationService service(backend, service_options);
   RequestOptions request_options;
-  request_options.trace_sink = options_.trace_sink;
+  request_options.trace_sink = options.trace_sink;
   const uint64_t handle = service.Submit(table, std::move(request_options));
   RequestResult result = service.Wait(handle);
 
@@ -45,12 +41,6 @@ PipelineRun ColumnScheduler::Run(Table* table,
   run.oracle_stats = service.stats().oracle;
   run.approved_log = service.ApprovedLog();
   return run;
-}
-
-PipelineRun RunConsolidationPipeline(Table* table,
-                                     VerificationOracle* backend,
-                                     const PipelineOptions& options) {
-  return ColumnScheduler(options).Run(table, backend);
 }
 
 std::string FingerprintConsolidation(const Table& table,

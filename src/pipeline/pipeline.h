@@ -1,9 +1,10 @@
 // The column-parallel consolidation pipeline. Algorithm 1 standardizes a
 // table's columns strictly one at a time; the columns are independent
-// until truth discovery, so the ColumnScheduler runs one StandardizeColumn
-// job per column on a shared ThreadPool instead — each job with its own
-// GroupingEngine — and funnels every oracle interaction through one
-// OracleBroker (cache + cross-column batching + replay log).
+// until truth discovery, so RunConsolidationPipeline runs one
+// StandardizeColumn job per column on a shared ThreadPool instead — each
+// job with its own GroupingEngine — and funnels every oracle interaction
+// through one OracleBroker (cache + serialized backend calls + replay
+// log).
 //
 // Determinism contract: the pipeline's output is byte-identical for any
 // thread count and for column_parallel on/off, *provided the backend
@@ -71,28 +72,15 @@ struct PipelineRun {
   std::vector<ApprovedTransformation> approved_log;
 };
 
-/// Drives GoldenRecordCreation through the scheduler + broker. Since the
-/// serving layer landed, this is a thin one-shot facade over
-/// serve/service.h: each Run constructs a single-request
-/// ConsolidationService (fresh broker and search cache — Run-scoped
-/// warmth), submits the table and waits. Long-lived deployments that
-/// want caches persisting ACROSS tables use ConsolidationService
-/// directly.
-class ColumnScheduler {
- public:
-  explicit ColumnScheduler(PipelineOptions options);
-
-  /// Standardizes every column of `table` in place (in parallel when
-  /// configured), runs majority-consensus truth discovery, and reports
-  /// broker statistics. `backend` answers the questions; the scheduler
-  /// serializes all calls into it.
-  PipelineRun Run(Table* table, VerificationOracle* backend) const;
-
- private:
-  PipelineOptions options_;
-};
-
-/// One-shot convenience wrapper around ColumnScheduler.
+/// Drives GoldenRecordCreation through the scheduler + broker: standardizes
+/// every column of `table` in place (in parallel when configured), runs
+/// majority-consensus truth discovery, and reports broker statistics.
+/// `backend` answers the questions; the broker serializes all calls into
+/// it. A thin one-shot facade over serve/service.h: each call constructs
+/// a single-request ConsolidationService (fresh broker and search cache —
+/// call-scoped warmth), submits the table and waits. Long-lived
+/// deployments that want caches persisting ACROSS tables use
+/// ConsolidationService directly.
 PipelineRun RunConsolidationPipeline(Table* table,
                                      VerificationOracle* backend,
                                      const PipelineOptions& options);

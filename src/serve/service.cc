@@ -55,10 +55,10 @@ void AppendJsonEscaped(std::string* out, const std::string& value) {
 /// the serving + persist layers open (unknown names still profile into
 /// the table/dump; they just have no dedicated gauge).
 const char* const kProfiledSpanNames[] = {
-    "request",     "admission_wait", "column",        "candidates",
-    "graph_build", "search_wave",    "oracle_batch",  "oracle_call",
-    "apply",       "fuse",           "wal_append",    "fsync",
-    "snapshot_write", "compaction"};
+    "request",     "admission_wait", "column",     "candidates",
+    "graph_build", "search_wave",    "oracle_call", "apply",
+    "fuse",        "wal_append",     "fsync",      "snapshot_write",
+    "compaction"};
 
 }  // namespace
 
@@ -230,10 +230,6 @@ void ConsolidationService::RegisterMetrics() {
       "ustl_oracle_backend_calls", "Questions that reached the backend");
   Gauge* oracle_cache_hits = metrics_.RegisterGauge(
       "ustl_oracle_cache_hits", "Questions served from the verdict cache");
-  Gauge* oracle_batches =
-      metrics_.RegisterGauge("ustl_oracle_batches", "Combined batches drained");
-  Gauge* oracle_max_batch =
-      metrics_.RegisterGauge("ustl_oracle_max_batch", "Largest batch drained");
   Gauge* oracle_evictions = metrics_.RegisterGauge(
       "ustl_oracle_evictions", "Verdicts dropped by the LRU bound");
   Gauge* search_lookups = metrics_.RegisterGauge(
@@ -285,8 +281,6 @@ void ConsolidationService::RegisterMetrics() {
     oracle_questions->Set(static_cast<int64_t>(oracle.questions));
     oracle_backend_calls->Set(static_cast<int64_t>(oracle.backend_calls));
     oracle_cache_hits->Set(static_cast<int64_t>(oracle.cache_hits));
-    oracle_batches->Set(static_cast<int64_t>(oracle.batches));
-    oracle_max_batch->Set(static_cast<int64_t>(oracle.max_batch));
     oracle_evictions->Set(static_cast<int64_t>(oracle.evictions));
     const SearchCacheStats search = search_cache_.stats();
     search_lookups->Set(static_cast<int64_t>(search.lookups));
@@ -374,8 +368,8 @@ ConsolidationService::~ConsolidationService() {
 void ConsolidationService::Shutdown(bool drain) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!draining_) {
-      draining_ = true;
+    if (!shutting_down_) {
+      shutting_down_ = true;
       // Submits blocked on a full backlog wake up and reject.
       admission_cv_.notify_all();
     }
@@ -449,10 +443,10 @@ uint64_t ConsolidationService::Submit(Table* table, RequestOptions options) {
     // of them is counted — the bound holds under contention. A drain
     // releases every blocked Submit immediately: they reject below.
     admission_cv_.wait(lock, [&] {
-      return draining_ ||
+      return shutting_down_ ||
              active_.size() + admitting_ < options_.max_pending_requests;
     });
-    if (draining_) {
+    if (shutting_down_) {
       // Shutdown began: never admit. The handle comes back pre-completed
       // so the caller's usual Wait sees the typed status instead of a
       // special return value; its stream (if any) is one kRequestDone.

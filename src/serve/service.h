@@ -1,5 +1,5 @@
 // The long-lived consolidation service (ROADMAP "Multi-table serving").
-// The pipeline's ColumnScheduler standardizes one table per Run call and
+// RunConsolidationPipeline (pipeline.h) standardizes one table per call and
 // throws its warm state away afterwards; a serving deployment faces a
 // *stream* of independent tables and wants the opposite: one ThreadPool,
 // one OracleBroker (verdict cache + replay log persisting across
@@ -241,7 +241,7 @@ struct RequestOptions {
   /// clock reads, no span ids. Non-null makes the service carry a
   /// TraceContext through every layer of this request: spans for the
   /// request root, admission wait, each column, graph builds, search
-  /// waves, oracle batches/calls and the final fuse, plus cache-hit and
+  /// waves, oracle calls and the final fuse, plus cache-hit and
   /// retry/breaker events. Observability only — table output is
   /// byte-identical with tracing on or off.
   TraceSink* trace_sink = nullptr;
@@ -508,7 +508,7 @@ class ConsolidationService {
   int boost_tokens_ = 0;  // see per_job_threads_
   bool paused_ = false;
   /// Set once by Shutdown; Submit rejects with kShuttingDown while set.
-  bool draining_ = false;
+  bool shutting_down_ = false;
   /// The final shutdown snapshot happens exactly once.
   bool final_snapshot_done_ = false;
   /// High-water mark of concurrent requests (mutex_-guarded; exposed as

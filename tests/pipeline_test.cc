@@ -1,15 +1,18 @@
-// Tests for src/pipeline: OracleBroker cache/dedup/batching semantics, the
-// deterministic replay log (round-trip through consolidate/replay.h), the
-// column-parallel bit-identity contract of the ColumnScheduler, and the
-// serialized progress-callback guarantee.
+// Tests for src/pipeline: OracleBroker cache/dedup/serialization
+// semantics, the deterministic replay log (round-trip through
+// consolidate/replay.h), the column-parallel bit-identity contract of
+// RunConsolidationPipeline, and the serialized progress-callback
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "consolidate/framework.h"
 #include "consolidate/oracle.h"
 #include "consolidate/replay.h"
@@ -90,14 +93,12 @@ TEST(OracleBrokerTest, CacheOffForwardsEveryQuestion) {
   EXPECT_EQ(stats.questions, 3u);
   EXPECT_EQ(stats.backend_calls, 3u);
   EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.batches, 3u);  // serial: every question its own batch
-  EXPECT_EQ(stats.max_batch, 1u);
 }
 
 TEST(OracleBrokerTest, ConcurrentDuplicateAsksReachTheBackendOnce) {
-  // Whether a thread hits the cache at entry or queues behind the combiner
-  // and is answered from a same-key twin, the backend answers exactly once
-  // and everyone sees that verdict.
+  // Whether a thread hits the cache at entry or waits behind the backend
+  // call and is answered from a same-key twin, the backend answers exactly
+  // once and everyone sees that verdict.
   CountingOracle backend;
   backend.set_delay(std::chrono::milliseconds(20));
   OracleBroker broker(&backend);
@@ -170,8 +171,8 @@ TEST(OracleBrokerTest, BackendExceptionPropagatesAndBrokerRecovers) {
   // The failure surfaces in the asking thread (not a hang or a silent
   // rejection)...
   EXPECT_THROW(broker.Verify(Question("9")), std::runtime_error);
-  // ...and the broker hands back the combiner role: the next question
-  // goes through normally and gets cached.
+  // ...and the broker releases the backend: the next question goes
+  // through normally and gets cached.
   EXPECT_TRUE(broker.Verify(Question("9")).approved);
   EXPECT_TRUE(broker.Verify(Question("9")).approved);
   OracleBrokerStats stats = broker.stats();
@@ -181,10 +182,9 @@ TEST(OracleBrokerTest, BackendExceptionPropagatesAndBrokerRecovers) {
 }
 
 TEST(OracleBrokerTest, ThrowingCombinerLeavesCacheAndLogConsistent) {
-  // Satellite pin (PR "robustness"): a backend throw mid-combine must not
-  // leave partial entries behind — no verdict cached, nothing appended to
-  // the approved log — and both must work normally for the question
-  // afterwards.
+  // Pin: a backend throw must not leave partial entries behind — no
+  // verdict cached, nothing appended to the approved log — and both must
+  // work normally for the question afterwards.
   FlakyOracle backend;  // throws on the first call, approves afterwards
   OracleBroker broker(&backend);
   QuestionContext context;
@@ -209,8 +209,8 @@ TEST(OracleBrokerTest, ThrowingCombinerLeavesCacheAndLogConsistent) {
 
 TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
   // Concurrent askers during a backend failure: only the question whose
-  // backend call threw fails; every other queued question is still served
-  // (possibly by the same combiner pass) and the broker stays usable.
+  // backend call threw fails; every other waiting question is still served
+  // and the broker stays usable.
   class PoisonOracle : public VerificationOracle {
    public:
     Verdict Verify(const std::vector<StringPair>& group_pairs) override {
@@ -225,7 +225,7 @@ TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
     std::chrono::milliseconds delay_{0};
   };
   PoisonOracle backend;
-  backend.delay_ = std::chrono::milliseconds(5);  // lets a batch form
+  backend.delay_ = std::chrono::milliseconds(5);  // lets askers queue up
   OracleBroker broker(&backend);
   std::atomic<size_t> served{0};
   std::atomic<size_t> failed{0};
@@ -244,6 +244,43 @@ TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failed.load(), 1u);
   EXPECT_EQ(served.load(), 5u);
+}
+
+TEST(OracleBrokerTest, CancelledWaiterUnwindsWithoutReachingTheBackend) {
+  // A cancellable asker waiting behind another question's slow backend
+  // call gives up within its 10 ms poll, long before that call returns,
+  // and never reaches the backend itself.
+  CountingOracle backend;
+  backend.set_delay(std::chrono::milliseconds(200));
+  OracleBroker broker(&backend);
+  std::atomic<bool> slow_done{false};
+  std::thread slow([&] {
+    broker.Verify(Question("slow"));
+    slow_done = true;
+  });
+  while (backend.calls() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  CancelState state;
+  QuestionContext context;
+  context.cancel = CancelToken(&state);
+  std::thread canceller([&] {
+    // Cancel once the asker is parked behind the slow call.
+    while (broker.stats().pending == 0 && !slow_done) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    state.Cancel();
+  });
+  EXPECT_THROW(broker.VerifyWithContext(Question("waiter"), context),
+               CancelledError);
+  EXPECT_FALSE(slow_done.load());
+  canceller.join();
+  slow.join();
+  EXPECT_EQ(backend.calls(), 1u);
+  OracleBrokerStats stats = broker.stats();
+  EXPECT_EQ(stats.questions, 2u);
+  EXPECT_EQ(stats.backend_calls, 1u);
+  EXPECT_EQ(stats.pending, 0u);
 }
 
 TEST(OracleBrokerTest, ApprovedLogIsSortedDedupedAndParseable) {
@@ -310,7 +347,7 @@ TEST(OracleBrokerTest, FrameworkQuestionsProduceAReplayableLog) {
 }
 
 // ---------------------------------------------------------------------
-// ColumnScheduler determinism.
+// Pipeline determinism (the ColumnSchedulerTest suite).
 
 // Two identical columns (cross-column cache hits) plus a distinct third.
 Table MakeMultiColumnTable() {

@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
                 transformations->size());
   } else if (args.approve == "all") {
     // Batch path: the pipeline subsystem fans columns out over the thread
-    // budget (when asked) and brokers every question — cache, batching
-    // and the replay log come from one place.
+    // budget (when asked) and brokers every question — cache,
+    // serialized backend calls and the replay log come from one place.
     PipelineOptions pipeline;
     pipeline.framework = options;
     pipeline.column_parallel = args.column_parallel;
@@ -243,9 +243,9 @@ int main(int argc, char** argv) {
                   result.edits);
     }
     std::printf("oracle: %zu question(s), %zu reached the oracle, %zu "
-                "cache hit(s), largest batch %zu\n",
+                "cache hit(s)\n",
                 run.oracle_stats.questions, run.oracle_stats.backend_calls,
-                run.oracle_stats.cache_hits, run.oracle_stats.max_batch);
+                run.oracle_stats.cache_hits);
     approved = std::move(run.approved_log);
   } else {
     // Interactive columns stay serial, but still go through a broker: the
