@@ -6,6 +6,7 @@
 #ifndef USTL_BENCH_BENCH_UTIL_H_
 #define USTL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -166,6 +167,62 @@ inline void PrintFigurePanel(const std::string& figure,
                             rows)
                    .c_str());
   printf("\n");
+}
+
+/// Median of `values`; the mean of the two middle values for an even
+/// count, 0 for none.
+inline double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// Repetitions behind every ratio that tools/check_bench.py gates.
+inline constexpr int kRatioReps = 15;
+
+/// A gated time ratio: the median of per-rep ratios, plus each side's
+/// median seconds for the record.
+struct PairedRatio {
+  double ratio = 0.0;
+  double numerator_seconds = 0.0;
+  double denominator_seconds = 0.0;
+};
+
+/// Times `reps` interleaved pairs of `numerator()` and `denominator()`
+/// (each returns the seconds it measured; even reps run the numerator
+/// first, odd reps the denominator) and returns the median of the
+/// per-rep ratios numerator / denominator. The two sides of one rep run
+/// back to back, so a slow spell of a shared host slows both and cancels
+/// in their ratio, and the median drops the reps a spell splits. A ratio
+/// of per-side minima compares the best moments of two different spells
+/// instead, and swung past 2-5% bounds between runs of identical code.
+template <typename Numerator, typename Denominator>
+PairedRatio MedianPairedRatio(int reps, Numerator&& numerator,
+                              Denominator&& denominator) {
+  std::vector<double> ratios;
+  std::vector<double> numerators;
+  std::vector<double> denominators;
+  for (int rep = 0; rep < reps; ++rep) {
+    double top = 0.0;
+    double bottom = 0.0;
+    if (rep % 2 == 0) {
+      top = numerator();
+      bottom = denominator();
+    } else {
+      bottom = denominator();
+      top = numerator();
+    }
+    numerators.push_back(top);
+    denominators.push_back(bottom);
+    ratios.push_back(bottom > 0.0 ? top / bottom : 0.0);
+  }
+  PairedRatio out;
+  out.ratio = Median(ratios);
+  out.numerator_seconds = Median(numerators);
+  out.denominator_seconds = Median(denominators);
+  return out;
 }
 
 }  // namespace bench

@@ -434,6 +434,9 @@ double TimePerOp(size_t ops, double min_seconds, const Body& body) {
 void RunPostingKernelComparison() {
   using bench::BenchScale;
   using bench::BenchSeed;
+  using bench::kRatioReps;
+  using bench::MedianPairedRatio;
+  using bench::PairedRatio;
   printf("\n=== Posting-kernel comparison (JSON for the bench trajectory) "
          "===\n\n");
 
@@ -461,23 +464,32 @@ void RunPostingKernelComparison() {
   const size_t ops = labels.size();
   const double min_seconds = 0.3;
 
-  // Seed kernel: fresh allocation + full sort + two rescans per join.
-  const double seed_per_op = TimePerOp(ops, min_seconds, [&] {
-    for (LabelId label : labels) {
-      PostingList out = SeedExtend(root, index.Find(label), &alive);
-      benchmark::DoNotOptimize(SeedRescanAndHash(out));
-    }
-  });
-
-  // Fused kernel: caller-owned scratch, stats fused into the join.
+  // Seed kernel (fresh allocation + full sort + two rescans per join) vs.
+  // fused kernel (caller-owned scratch, stats fused into the join). The
+  // gated speedup is the median of kRatioReps interleaved per-rep ratios.
   PostingList scratch;
-  const double fused_per_op = TimePerOp(ops, min_seconds, [&] {
-    for (LabelId label : labels) {
-      const ExtendStats stats =
-          InvertedIndex::ExtendInto(root, index.Find(label), &alive, &scratch);
-      benchmark::DoNotOptimize(stats);
-    }
-  });
+  const double rep_seconds = 0.1;
+  const PairedRatio timing = MedianPairedRatio(
+      kRatioReps,
+      [&] {
+        return TimePerOp(ops, rep_seconds, [&] {
+          for (LabelId label : labels) {
+            PostingList out = SeedExtend(root, index.Find(label), &alive);
+            benchmark::DoNotOptimize(SeedRescanAndHash(out));
+          }
+        });
+      },
+      [&] {
+        return TimePerOp(ops, rep_seconds, [&] {
+          for (LabelId label : labels) {
+            const ExtendStats stats = InvertedIndex::ExtendInto(
+                root, index.Find(label), &alive, &scratch);
+            benchmark::DoNotOptimize(stats);
+          }
+        });
+      });
+  const double seed_per_op = timing.numerator_seconds;
+  const double fused_per_op = timing.denominator_seconds;
 
   // Allocations per join in the steady state (scratch already sized).
   const int64_t allocs_before =
@@ -494,9 +506,10 @@ void RunPostingKernelComparison() {
          candidates.pairs.size(), ops, seed_per_op * 1e9);
   printf("{\"bench\": \"posting_extend_kernel\", \"variant\": \"fused\", "
          "\"pairs\": %zu, \"labels\": %zu, \"ns_per_extend\": %.1f, "
-         "\"speedup_vs_seed\": %.2f, \"allocs_per_extend\": %.3f}\n",
-         candidates.pairs.size(), ops, fused_per_op * 1e9,
-         fused_per_op > 0 ? seed_per_op / fused_per_op : 0.0,
+         "\"speedup_vs_seed\": %.2f, \"reps\": %d, "
+         "\"allocs_per_extend\": %.3f}\n",
+         candidates.pairs.size(), ops, fused_per_op * 1e9, timing.ratio,
+         kRatioReps,
          static_cast<double>(allocs) / static_cast<double>(ops));
 
   // Index build: serial vs. sharded over a 4-thread pool.

@@ -15,8 +15,10 @@
 //     slowness);
 //   * zero_fault — the whole cancellation/retry plumbing armed but idle
 //     (zero-fault plan, far-future deadline) vs. the plain service:
-//     throughput overhead must stay within 2% (best-of-5 alternating
-//     timing — the minimum filters scheduler noise);
+//     throughput overhead must stay within 2% (the median of per-rep
+//     armed/plain ratios over kRatioReps interleaved reps — a slow spell
+//     of the host slows both sides of a rep, and the median drops the
+//     reps a spell splits);
 //   * obs_overhead — prices the full diagnosis kit (per-span JSON
 //     formatting, flight-recorder ring insertion, CPU-attributed
 //     profile folding, plus an in-process metrics scrape) against the
@@ -39,7 +41,8 @@
 //     always-on paths too;
 //   * persist_overhead — the durability layer armed (persist_dir set,
 //     fsync=batch, every verdict WAL-logged, final snapshot on drain)
-//     vs. the plain service: overhead must stay within 10% and output
+//     vs. the plain service: overhead (median of per-rep ratios, as for
+//     zero_fault) must stay within 5% and output
 //     byte-identical; then a warm restart over the same directory must
 //     recover a nonzero record count and serve the same workload with
 //     strictly fewer backend calls (the ISSUE 9 crash-safety gate,
@@ -340,35 +343,38 @@ int main() {
 
   // --- zero_fault: armed-but-idle plumbing vs. the plain service.
   {
-    double plain_best = 0.0;
-    double armed_best = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      ApproveAllOracle plain_backend;
-      ServiceOptions plain_options;
-      const double plain = RunWorkload(workload, &plain_backend,
-                                       plain_options, 0, nullptr, nullptr);
-      if (plain_best == 0.0 || plain < plain_best) plain_best = plain;
-
-      ApproveAllOracle armed_backend;
-      FaultPlan zero;  // inactive plan: injector forwards every call
-      FaultInjectingOracle injector(&armed_backend, zero);
-      ServiceOptions armed_options;
-      armed_options.enable_retry = true;
-      bool byte_identical = false;
-      const double armed =
-          RunWorkload(workload, &injector, armed_options,
-                      /*deadline_ms=*/3600 * 1000, &byte_identical, nullptr);
-      if (armed_best == 0.0 || armed < armed_best) armed_best = armed;
-      if (!byte_identical) {
-        printf("{\"bench\": \"robustness_serve\", \"variant\": "
-               "\"zero_fault\", \"error\": \"not byte-identical\"}\n");
-        return 1;
-      }
+    bool all_identical = true;
+    const PairedRatio timing = MedianPairedRatio(
+        kRatioReps,
+        [&] {
+          ApproveAllOracle armed_backend;
+          FaultPlan zero;  // inactive plan: injector forwards every call
+          FaultInjectingOracle injector(&armed_backend, zero);
+          ServiceOptions armed_options;
+          armed_options.enable_retry = true;
+          bool byte_identical = false;
+          const double armed = RunWorkload(
+              workload, &injector, armed_options,
+              /*deadline_ms=*/3600 * 1000, &byte_identical, nullptr);
+          all_identical = all_identical && byte_identical;
+          return armed;
+        },
+        [&] {
+          ApproveAllOracle plain_backend;
+          ServiceOptions plain_options;
+          return RunWorkload(workload, &plain_backend, plain_options, 0,
+                             nullptr, nullptr);
+        });
+    if (!all_identical) {
+      printf("{\"bench\": \"robustness_serve\", \"variant\": "
+             "\"zero_fault\", \"error\": \"not byte-identical\"}\n");
+      return 1;
     }
     printf("{\"bench\": \"robustness_serve\", \"variant\": \"zero_fault\", "
-           "\"plain_seconds\": %.4f, \"armed_seconds\": %.4f, "
+           "\"reps\": %d, \"plain_seconds\": %.4f, \"armed_seconds\": %.4f, "
            "\"overhead_ratio\": %.4f}\n",
-           plain_best, armed_best, armed_best / plain_best);
+           kRatioReps, timing.denominator_seconds, timing.numerator_seconds,
+           timing.ratio);
   }
 
   // --- obs_overhead: price the armed diagnosis paths against the
@@ -444,38 +450,39 @@ int main() {
         (fs::temp_directory_path() /
          ("ustl_bench_persist_" + std::to_string(::getpid())))
             .string();
-    double plain_best = 0.0;
-    double persisted_best = 0.0;
+    bool all_identical = true;
     size_t cold_calls = 0;
-    for (int rep = 0; rep < 5; ++rep) {
-      ApproveAllOracle plain_backend;
-      ServiceOptions plain_options;
-      const double plain = RunWorkload(workload, &plain_backend,
-                                       plain_options, 0, nullptr, nullptr);
-      if (plain_best == 0.0 || plain < plain_best) plain_best = plain;
-
-      fs::remove_all(dir);  // every persisted rep starts cold
-      ApproveAllOracle persisted_backend;
-      ServiceOptions persisted_options;
-      persisted_options.persist_dir = dir;
-      persisted_options.persist.fsync = FsyncPolicy::kBatch;
-      bool byte_identical = false;
-      ServiceStats stats;
-      const double persisted =
-          RunWorkload(workload, &persisted_backend, persisted_options, 0,
-                      &byte_identical, &stats);
-      if (persisted_best == 0.0 || persisted < persisted_best) {
-        persisted_best = persisted;
-      }
-      cold_calls = stats.oracle.backend_calls;
-      if (!byte_identical) {
-        printf("{\"bench\": \"robustness_serve\", \"variant\": "
-               "\"persist_overhead\", \"error\": \"not byte-identical\"}\n");
-        return 1;
-      }
+    const PairedRatio timing = MedianPairedRatio(
+        kRatioReps,
+        [&] {
+          fs::remove_all(dir);  // every persisted rep starts cold
+          ApproveAllOracle persisted_backend;
+          ServiceOptions persisted_options;
+          persisted_options.persist_dir = dir;
+          persisted_options.persist.fsync = FsyncPolicy::kBatch;
+          bool byte_identical = false;
+          ServiceStats stats;
+          const double persisted =
+              RunWorkload(workload, &persisted_backend, persisted_options, 0,
+                          &byte_identical, &stats);
+          cold_calls = stats.oracle.backend_calls;
+          all_identical = all_identical && byte_identical;
+          return persisted;
+        },
+        [&] {
+          ApproveAllOracle plain_backend;
+          ServiceOptions plain_options;
+          return RunWorkload(workload, &plain_backend, plain_options, 0,
+                             nullptr, nullptr);
+        });
+    if (!all_identical) {
+      printf("{\"bench\": \"robustness_serve\", \"variant\": "
+             "\"persist_overhead\", \"error\": \"not byte-identical\"}\n");
+      return 1;
     }
 
-    // Warm restart over the last rep's directory: recovery must report
+    // Warm restart over the last persisted run's directory: recovery must
+    // report
     // records and strictly cut backend traffic, with identical bytes.
     ApproveAllOracle warm_backend;
     ServiceOptions warm_options;
@@ -489,12 +496,13 @@ int main() {
         static_cast<unsigned long long>(warm_stats.persist.recovered_records);
     const bool warm_saves = warm_stats.oracle.backend_calls < cold_calls;
     printf("{\"bench\": \"robustness_serve\", "
-           "\"variant\": \"persist_overhead\", "
+           "\"variant\": \"persist_overhead\", \"reps\": %d, "
            "\"plain_seconds\": %.4f, \"persisted_seconds\": %.4f, "
            "\"overhead_ratio\": %.4f, \"recovered_records\": %llu, "
            "\"cold_backend_calls\": %zu, \"warm_backend_calls\": %zu, "
            "\"warm_call_savings\": %d, \"byte_identical\": %s}\n",
-           plain_best, persisted_best, persisted_best / plain_best, recovered,
+           kRatioReps, timing.denominator_seconds, timing.numerator_seconds,
+           timing.ratio, recovered,
            cold_calls, warm_stats.oracle.backend_calls, warm_saves ? 1 : 0,
            (warm_identical && recovered > 0) ? "true" : "false");
   }

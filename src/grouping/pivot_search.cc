@@ -3,22 +3,10 @@
 #include <algorithm>
 
 namespace ustl {
-namespace {
-
-// One candidate DFS move: an outgoing (label, edge) pair annotated with
-// the label's inverted-list length and constant-ness for ordering.
-struct Move {
-  size_t list_length;
-  bool constant;
-  LabelId label;
-  int to;
-};
-
-}  // namespace
 
 /// Scratch arena of the DFS. Level d owns every buffer Dfs needs at path
 /// length d: the extension list the join writes into (and the d+1
-/// recursion reads), the gathered moves, and the sibling-dedup store.
+/// recursion reads) and the sibling-dedup store.
 /// Levels are allocated once per Search (max_path_len + 1 of them) and
 /// reused across all DFS moves at that depth, so after the first visit of
 /// each depth the inner loop performs no heap allocation — extensions
@@ -26,8 +14,7 @@ struct Move {
 /// retained capacity.
 struct PivotSearcher::DfsState {
   struct Level {
-    PostingList extended;     // ExtendInto target for this depth
-    std::vector<Move> moves;  // outgoing moves of the current node
+    PostingList extended;  // ExtendInto target for this depth
     // Sibling-dedup store for the current node: target node + content
     // hash as the cheap key, materialized list for the collision-proof
     // compare. seen_size is the logical length; entries past it are
@@ -47,6 +34,7 @@ struct PivotSearcher::DfsState {
   std::vector<GraphId> leaf_members;  // CompleteMembers buffer, reused
   int best_count = 0;  // starts at the acceptance threshold
   uint64_t expansions = 0;
+  uint64_t joins = 0;
   bool truncated = false;
   PostingScratch scratch;
 };
@@ -105,54 +93,32 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
   // only touches deeper levels, so the references stay valid across it.
   DfsState::Level& level = state->scratch.levels[depth];
 
-  // Gather outgoing (label, edge, |I[label]|) moves. A label can sit on at
-  // most one outgoing edge of a node (labels determine their output string,
-  // and sibling edges have different target substrings). Moves are visited
-  // in descending posting-list length (ties by ascending LabelId): big
-  // lists raise best_count early, which makes the early terminations bite.
-  // The order is a global total order on labels (list lengths are shared
-  // run-wide), so the first-found maximum is still canonical across all
-  // grouping variants.
-  std::vector<Move>& moves = level.moves;
-  moves.clear();
-  for (const GraphEdge& edge : graph.edges_from(node)) {
-    for (LabelId label : edge.labels) {
-      const bool constant =
-          set_->interner() != nullptr &&
-          set_->interner()->Get(label).kind() ==
-              StringFn::Kind::kConstantStr;
-      moves.push_back(
-          Move{set_->index().ListLength(label), constant, label, edge.to});
-    }
-  }
-  // Ties between equally long lists break toward non-constant labels:
-  // for singleton structure groups every path has count 1 and the
-  // first-found path wins, so this bias is what keeps their pivots from
-  // degenerating into pure "emit this literal" programs (which the
-  // framework rightly filters out). The key is still a run-wide total
-  // order on labels, so the canonical choice stays consistent across all
-  // grouping variants.
-  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-    if (a.list_length != b.list_length) return a.list_length > b.list_length;
-    if (a.constant != b.constant) return !a.constant;
-    return a.label < b.label;
-  });
-
-  // Sibling deduplication: labels on the same edge frequently extend to
+  // Moves come precomputed in the run-wide visiting order (see
+  // GraphSet::moves): big lists first, which raises best_count early and
+  // makes the early terminations bite. The order is a total order on
+  // labels (list lengths are shared run-wide), so the first-found maximum
+  // is canonical across all grouping variants. A label can sit on several
+  // outgoing edges of one node — Prefix/Suffix are multi-valued, e.g.
+  // Suffix(Tl, 2) on both 6->8 and 6->16 of one address graph — so the
+  // table keeps one move per (twin class, to), not one per class.
+  //
+  // Sibling deduplication: labels that are not twins can still extend to
   // identical posting lists (all P[x] x P[y] SubStr variants of one
-  // occurrence, for instance). Exploring each would multiply the subtree
-  // by the label multiplicity; one representative (the first in the global
-  // move order) suffices for finding a maximal path, and taking the first
-  // keeps the choice canonical across grouping variants. The dedup key is
-  // the content hash ExtendInto computes during emission — nothing is
+  // occurrence, for instance, once the current list narrows them to the
+  // same spans). Exploring each would multiply the subtree by the label
+  // multiplicity; one representative (the first in the move order)
+  // suffices for finding a maximal path, and taking the first keeps the
+  // choice canonical across grouping variants. The dedup key is the
+  // content hash ExtendInto computes during emission — nothing is
   // re-hashed here.
   level.seen_size = 0;
 
-  for (const Move& move : moves) {
+  for (const PivotMove& move : set_->moves(g, node)) {
     // Cheap pre-check before the join: the extension's distinct-graph
     // count is at most min(|list| distinct, |I[label]|) — intersections
     // never grow (Section 5.2).
-    const size_t upper = std::min(move.list_length, list_distinct);
+    const size_t upper =
+        std::min(static_cast<size_t>(move.list_length), list_distinct);
     if (options_.local_early_term &&
         static_cast<int>(upper) <= state->best_count) {
       continue;
@@ -161,6 +127,7 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
         static_cast<int>(upper) < (*lower_bounds)[g]) {
       continue;
     }
+    ++state->joins;
     const ExtendStats stats = InvertedIndex::ExtendInto(
         list, set_->index().Find(move.label), &set_->alive_vector(),
         &level.extended);
@@ -236,6 +203,7 @@ PivotSearcher::SearchResult PivotSearcher::Search(
 
   SearchResult result;
   result.expansions = state.expansions;
+  result.joins = state.joins;
   result.truncated = state.truncated;
   if (!state.best_path.empty()) {
     result.found = true;
@@ -254,6 +222,7 @@ PivotSearcher::SearchResult PivotSearcher::Search(
       for (LabelId label : result.path) {
         full = InvertedIndex::Extend(full, set_->index().Find(label),
                                      &set_->alive_vector());
+        ++result.joins;
       }
       CompleteMembers(*set_, full, &result.members);
     }

@@ -1,10 +1,13 @@
 // SearchPivot (Algorithm 3) with the local and global threshold-based
 // early terminations of Algorithm 4. The DFS maintains the current path
 // rho, the posting list of spans where rho matches, and the node reached
-// in the searched graph; outgoing (label, edge) pairs are visited in one
-// run-wide total order on labels (see Dfs), so the first-found maximum is
-// a canonical pivot path — this choice makes all grouping variants agree
-// under count ties.
+// in the searched graph. It walks the GraphSet's precomputed move table:
+// the outgoing (label, to) moves of each node in one run-wide total order
+// on labels, so the first-found maximum is a canonical pivot path — this
+// choice makes all grouping variants agree under count ties. The table
+// holds one move per twin class and target node (labels with identical
+// posting lists, see index/inverted_index.h), so the search never joins
+// a list it has just joined under another label's name.
 #ifndef USTL_GROUPING_PIVOT_SEARCH_H_
 #define USTL_GROUPING_PIVOT_SEARCH_H_
 
@@ -41,6 +44,7 @@ class PivotSearcher {
                                     // transformation path (complete spans)
     int count = 0;                  // members.size()
     uint64_t expansions = 0;        // DFS nodes visited (for Figure 9)
+    uint64_t joins = 0;             // posting merge joins run
     bool truncated = false;         // hit max_expansions
   };
 

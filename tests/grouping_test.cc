@@ -5,6 +5,7 @@
 // partition (Definition 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "dsl/program.h"
@@ -54,6 +55,124 @@ TEST(GraphSetTest, KillEpochCountsAliveToDeadTransitions) {
   EXPECT_EQ(set.kill_epoch(), 1u);
   set.Kill(0);
   EXPECT_EQ(set.kill_epoch(), 2u);
+}
+
+// The DFS order from before the move table: every (label, to) pair out
+// of `node`, by list length descending, non-constant labels first, then
+// LabelId ascending.
+std::vector<PivotMove> SortedGather(const GraphSet& set, GraphId g, int node,
+                                    const LabelInterner& interner) {
+  std::vector<PivotMove> moves;
+  for (const GraphEdge& edge : set.graph(g).edges_from(node)) {
+    for (LabelId label : edge.labels) {
+      moves.push_back(PivotMove{
+          label, static_cast<uint32_t>(set.index().ListLength(label)),
+          edge.to});
+    }
+  }
+  auto constant = [&](LabelId label) {
+    return interner.Get(label).kind() == StringFn::Kind::kConstantStr;
+  };
+  std::sort(moves.begin(), moves.end(),
+            [&](const PivotMove& a, const PivotMove& b) {
+              if (a.list_length != b.list_length) {
+                return a.list_length > b.list_length;
+              }
+              if (constant(a.label) != constant(b.label)) {
+                return !constant(a.label);
+              }
+              return a.label < b.label;
+            });
+  return moves;
+}
+
+TEST(GraphSetTest, MoveTableIsTheSortedGatherWithoutLaterTwins) {
+  LabelInterner interner;
+  std::vector<StringPair> pairs = Example51Pairs();
+  pairs.push_back({"12 Main Street", "12 Main St"});
+  pairs.push_back({"7 Elm Avenue", "7 Elm Ave"});
+  pairs.push_back({"9th Avenue", "9 Avenue"});
+  GraphSet set = BuildSet(pairs, &interner);
+  size_t dropped = 0;
+  for (GraphId g = 0; g < set.size(); ++g) {
+    for (int node = 1; node <= set.graph(g).num_nodes(); ++node) {
+      std::vector<PivotMove> expected;
+      for (const PivotMove& move : SortedGather(set, g, node, interner)) {
+        bool twin = false;
+        for (const PivotMove& kept : expected) {
+          twin |= kept.to == move.to && set.index().TwinClass(kept.label) ==
+                                            set.index().TwinClass(move.label);
+        }
+        if (twin) {
+          ++dropped;
+        } else {
+          expected.push_back(move);
+        }
+      }
+      const MoveSpan table = set.moves(g, node);
+      ASSERT_EQ(table.size(), expected.size()) << g << ":" << node;
+      for (size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(table.begin()[k].label, expected[k].label);
+        EXPECT_EQ(table.begin()[k].to, expected[k].to);
+        EXPECT_EQ(table.begin()[k].list_length, expected[k].list_length);
+      }
+    }
+    EXPECT_EQ(set.moves(g, set.graph(g).last_node()).size(), 0u);
+  }
+  EXPECT_GT(dropped, 0u);  // the input has twins, so the filter is exercised
+}
+
+TEST(GraphSetTest, MultiValuedAffixLabelKeepsAMovePerTarget) {
+  // Prefix/Suffix are multi-valued, so one label can sit on several
+  // outgoing edges of one node. The builder puts Suffix(tau, k) on
+  // (j - len, j) for the longest common suffix of t[1, j) and the match;
+  // with the periodic match "ababab" and t = "abab", that is 1->3 ("ab")
+  // and 1->5 ("abab"). Each (label, to) is its own move and must survive
+  // in the table.
+  LabelInterner interner;
+  GraphSet set = BuildSet({{"ababab", "abab"}, {"cdcd", "cd"}}, &interner);
+  const TransformationGraph& graph = set.graph(0);
+  int node = 0;
+  LabelId affix = 0;
+  std::vector<int> tos;
+  for (int from = 1; from <= graph.num_nodes() && tos.size() < 2; ++from) {
+    for (const GraphEdge& edge : graph.edges_from(from)) {
+      for (LabelId label : edge.labels) {
+        const StringFn::Kind kind = interner.Get(label).kind();
+        if (kind != StringFn::Kind::kPrefix && kind != StringFn::Kind::kSuffix) {
+          continue;
+        }
+        std::vector<int> label_tos;
+        for (const GraphEdge& other : graph.edges_from(from)) {
+          if (std::binary_search(other.labels.begin(), other.labels.end(),
+                                 label)) {
+            label_tos.push_back(other.to);
+          }
+        }
+        if (label_tos.size() >= 2) {
+          node = from;
+          affix = label;
+          tos = label_tos;
+        }
+      }
+      if (tos.size() >= 2) break;
+    }
+  }
+  ASSERT_GE(tos.size(), 2u) << "no multi-valued affix label in the graph";
+
+  // One move per target survives. Twins of `affix` share its edges, so the
+  // kept representative is the same label for every target.
+  std::vector<LabelId> kept;
+  for (int to : tos) {
+    for (const PivotMove& move : set.moves(0, node)) {
+      if (move.to == to &&
+          set.index().TwinClass(move.label) == set.index().TwinClass(affix)) {
+        kept.push_back(move.label);
+      }
+    }
+  }
+  ASSERT_EQ(kept.size(), tos.size());
+  for (LabelId label : kept) EXPECT_EQ(label, kept[0]);
 }
 
 TEST(PivotSearchTest, Example52PivotSharedByTwoGraphs) {

@@ -94,6 +94,42 @@ TEST(InvertedIndexTest, BuildIndexesEveryLabel) {
   EXPECT_EQ(index.Find(0)[1], (Posting{1, 1, 3}));
 }
 
+TEST(InvertedIndexTest, TwinLabelsShareOneStoredList) {
+  // Labels 0/1 and 3/4 sit on exactly the same edges of both graphs, so
+  // their lists are identical; label 2 overlaps label 0 but differs.
+  TransformationGraph a("s1", "xy");
+  for (LabelId label : {0u, 1u, 2u}) a.AddLabel(1, 2, label);
+  for (LabelId label : {3u, 4u}) a.AddLabel(2, 3, label);
+  TransformationGraph b("s2", "pq");
+  for (LabelId label : {0u, 1u}) b.AddLabel(1, 3, label);
+  b.AddLabel(1, 2, 2);
+  std::vector<TransformationGraph> graphs = {a, b};
+  InvertedIndex index = InvertedIndex::Build(graphs);
+
+  // Classes are numbered by ascending leader label.
+  EXPECT_EQ(index.TwinClass(0), 0u);
+  EXPECT_EQ(index.TwinClass(1), 0u);
+  EXPECT_EQ(index.TwinClass(2), 1u);
+  EXPECT_EQ(index.TwinClass(3), 2u);
+  EXPECT_EQ(index.TwinClass(4), 2u);
+  EXPECT_EQ(index.TwinClass(99), InvertedIndex::kNoClass);
+
+  // Every label still reads its own list; twins read one stored copy.
+  EXPECT_EQ(index.Find(1), (PostingList{{0, 1, 2}, {1, 1, 3}}));
+  EXPECT_EQ(&index.Find(0), &index.Find(1));
+  EXPECT_EQ(index.Find(2), (PostingList{{0, 1, 2}, {1, 1, 2}}));
+  EXPECT_EQ(index.Find(4), (PostingList{{0, 2, 3}}));
+  EXPECT_EQ(index.ListLength(1), 2u);
+  EXPECT_EQ(index.ListLength(4), 1u);
+
+  // Labels are counted one by one; postings and bytes once per class.
+  EXPECT_EQ(index.NumLabels(), 5u);
+  EXPECT_EQ(index.NumPostings(), 5u);
+  EXPECT_EQ(index.MemoryBytes(), 5 * sizeof(uint32_t) +
+                                     3 * sizeof(PostingList) +
+                                     5 * sizeof(Posting));
+}
+
 TEST(InvertedIndexTest, ExtendJoinsAdjacentSpans) {
   // (G, a, b) x (G, b, c) -> (G, a, c); non-adjacent spans don't join.
   PostingList current = {{0, 1, 3}, {1, 1, 2}};
@@ -334,7 +370,10 @@ std::vector<TransformationGraph> RealisticGraphs(LabelInterner* interner) {
 void ExpectSameIndex(const InvertedIndex& a, const InvertedIndex& b,
                      size_t label_bound) {
   ASSERT_EQ(a.NumLabels(), b.NumLabels());
+  ASSERT_EQ(a.NumPostings(), b.NumPostings());
+  ASSERT_EQ(a.MemoryBytes(), b.MemoryBytes());
   for (LabelId label = 0; label < label_bound; ++label) {
+    ASSERT_EQ(a.TwinClass(label), b.TwinClass(label)) << "label " << label;
     const PostingList& la = a.Find(label);
     const PostingList& lb = b.Find(label);
     ASSERT_EQ(la.size(), lb.size()) << "label " << label;
@@ -350,6 +389,14 @@ TEST(InvertedIndexShardTest, ShardSweepIsByteIdenticalToSerialBuild) {
   std::vector<TransformationGraph> graphs = RealisticGraphs(&interner);
   InvertedIndex serial = InvertedIndex::Build(graphs);
   ASSERT_GT(serial.NumLabels(), 10u);
+  // The input has twins, so the sweep covers the class grouping too.
+  ASSERT_LT(serial.NumPostings(), [&] {
+    size_t postings = 0;
+    for (const TransformationGraph& graph : graphs) {
+      postings += graph.TotalLabelCount();
+    }
+    return postings;
+  }());
   const size_t label_bound = interner.size() + 4;
 
   ThreadPool pool(4);

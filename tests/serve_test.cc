@@ -140,6 +140,7 @@ TEST(ConsolidationServiceTest, WarmSearchCacheSkipsRepeatedSearches) {
   ApproveAllOracle oracle;
   ConsolidationService service(&oracle, options);
 
+  uint64_t joins = 0;
   auto run_once = [&](uint64_t* searches, uint64_t* warm_hits) {
     Table table = MakeTable("Elm", 1, 8);
     RequestResult result = service.Wait(service.Submit(&table));
@@ -148,6 +149,7 @@ TEST(ConsolidationServiceTest, WarmSearchCacheSkipsRepeatedSearches) {
     for (const ColumnRunResult& column : result.per_column) {
       *searches += column.grouping.searches;
       *warm_hits += column.grouping.warm_hits;
+      joins += column.grouping.joins;
     }
   };
 
@@ -155,11 +157,16 @@ TEST(ConsolidationServiceTest, WarmSearchCacheSkipsRepeatedSearches) {
   run_once(&cold_searches, &cold_warm_hits);
   EXPECT_GT(cold_searches, 0u);
   EXPECT_EQ(cold_warm_hits, 0u);
+  EXPECT_GT(joins, 0u);
 
   uint64_t warm_searches = 0, warm_warm_hits = 0;
   run_once(&warm_searches, &warm_warm_hits);
   EXPECT_GT(warm_warm_hits, 0u);
   EXPECT_LT(warm_searches, cold_searches);
+  // Every column's merge joins reach the service counter.
+  EXPECT_NE(service.metrics().WriteText().find(
+                "ustl_grouping_joins_total " + std::to_string(joins) + "\n"),
+            std::string::npos);
 
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.search_cache.publishes, 0u);
