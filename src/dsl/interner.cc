@@ -1,23 +1,56 @@
 #include "dsl/interner.h"
 
+#include <limits>
+
 #include "common/status.h"
 
 namespace ustl {
+namespace {
+
+constexpr LabelId kEmpty = std::numeric_limits<LabelId>::max();
+
+}  // namespace
+
+size_t LabelInterner::FindSlot(const StringFn& fn, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = static_cast<size_t>(hash) & mask;
+  while (slots_[slot] != kEmpty) {
+    const LabelId id = slots_[slot];
+    if (hashes_[id] == hash && fns_[id] == fn) break;
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void LabelInterner::Grow() {
+  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kEmpty);
+  const size_t mask = slots_.size() - 1;
+  for (LabelId id = 0; id < fns_.size(); ++id) {
+    size_t slot = static_cast<size_t>(hashes_[id]) & mask;
+    while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+    slots_[slot] = id;
+  }
+}
 
 LabelId LabelInterner::Intern(const StringFn& fn) {
-  std::string key = fn.Key();
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) return it->second;
-  LabelId id = static_cast<LabelId>(fns_.size());
-  by_key_.emplace(std::move(key), id);
+  // Keep the load factor at most 1/2, so probe runs stay short.
+  if (2 * (fns_.size() + 1) > slots_.size()) Grow();
+  const uint64_t hash = fn.Hash();
+  const size_t slot = FindSlot(fn, hash);
+  if (slots_[slot] != kEmpty) return slots_[slot];
+  const LabelId id = static_cast<LabelId>(fns_.size());
+  USTL_CHECK(id != kEmpty);
+  slots_[slot] = id;
+  hashes_.push_back(hash);
   fns_.push_back(fn);
   return id;
 }
 
 bool LabelInterner::Lookup(const StringFn& fn, LabelId* id) const {
-  auto it = by_key_.find(fn.Key());
-  if (it == by_key_.end()) return false;
-  *id = it->second;
+  if (slots_.empty()) return false;
+  const size_t slot = FindSlot(fn, fn.Hash());
+  if (slots_[slot] == kEmpty) return false;
+  *id = slots_[slot];
   return true;
 }
 

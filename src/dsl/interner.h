@@ -3,12 +3,15 @@
 // inverted-index keys, path comparison and group keys are integer
 // operations. One interner lives per grouping run (typically per column or
 // per structure group); LabelIds are not stable across interners.
+//
+// Labels are keyed by StringFn::Hash in a flat open-addressing table of
+// ids; a hit is confirmed with StringFn::operator==, so a hash collision
+// only costs a probe. Ids are dense and assigned in first-sight order.
 #ifndef USTL_DSL_INTERNER_H_
 #define USTL_DSL_INTERNER_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsl/string_function.h"
@@ -37,8 +40,14 @@ class LabelInterner {
   size_t size() const { return fns_.size(); }
 
  private:
-  std::unordered_map<std::string, LabelId> by_key_;
-  std::vector<StringFn> fns_;
+  /// The slot holding `fn`'s id, or the empty slot where it would go.
+  size_t FindSlot(const StringFn& fn, uint64_t hash) const;
+  /// Doubles the table and re-inserts every id.
+  void Grow();
+
+  std::vector<LabelId> slots_;   // power-of-two size; kEmpty if free
+  std::vector<uint64_t> hashes_;  // indexed by LabelId
+  std::vector<StringFn> fns_;     // indexed by LabelId
 };
 
 /// A transformation path / program skeleton: the sequence of interned

@@ -1,5 +1,6 @@
 #include "dsl/position.h"
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace ustl {
@@ -51,21 +52,11 @@ std::string PosFn::ToString() const {
          (dir_ == Dir::kBegin ? "B" : "E") + ")";
 }
 
-std::string PosFn::Key() const {
-  std::string key;
-  key.push_back(kind_ == Kind::kConstPos ? 'C' : 'M');
-  key += std::to_string(k_);
-  if (kind_ == Kind::kMatchPos) {
-    key.push_back(dir_ == Dir::kBegin ? 'B' : 'E');
-    if (term_.is_regex()) {
-      key.push_back('r');
-      key.push_back(CharClassMnemonic(term_.char_class()));
-    } else {
-      key.push_back('c');
-      key += term_.literal();
-    }
-  }
-  return key;
+uint64_t PosFn::Hash() const {
+  uint64_t hash = HashMix(kHashSeed, static_cast<uint64_t>(kind_));
+  hash = HashMix(hash, static_cast<uint32_t>(k_));
+  hash = HashMix(hash, static_cast<uint64_t>(dir_));
+  return HashFinish(HashMix(hash, term_.Hash()));
 }
 
 bool PosFn::operator<(const PosFn& o) const {

@@ -1,5 +1,6 @@
 #include "dsl/string_function.h"
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -142,29 +143,21 @@ std::string StringFn::ToString() const {
   return "?";
 }
 
-std::string StringFn::Key() const {
-  std::string key;
+uint64_t StringFn::Hash() const {
+  uint64_t hash = HashMix(kHashSeed, static_cast<uint64_t>(kind_));
   switch (kind_) {
     case Kind::kConstantStr:
-      key.push_back('K');
-      key += constant_;
-      return key;
-    case Kind::kSubStr:
-      key.push_back('S');
-      key += left_.Key();
-      key.push_back('|');
-      key += right_.Key();
-      return key;
-    case Kind::kPrefix:
-      key.push_back('P');
+      hash = HashBytes(hash, constant_);
       break;
+    case Kind::kSubStr:
+      hash = HashMix(HashMix(hash, left_.Hash()), right_.Hash());
+      break;
+    case Kind::kPrefix:
     case Kind::kSuffix:
-      key.push_back('X');
+      hash = HashMix(HashMix(hash, term_.Hash()), static_cast<uint32_t>(k_));
       break;
   }
-  key.push_back(CharClassMnemonic(term_.char_class()));
-  key += std::to_string(k_);
-  return key;
+  return HashFinish(hash);
 }
 
 bool StringFn::operator==(const StringFn& o) const {

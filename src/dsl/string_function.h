@@ -16,6 +16,7 @@
 #ifndef USTL_DSL_STRING_FUNCTION_H_
 #define USTL_DSL_STRING_FUNCTION_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +25,7 @@
 
 namespace ustl {
 
-/// A string function. Immutable value type with a canonical byte key.
+/// A string function. Immutable value type with a structural hash.
 class StringFn {
  public:
   enum class Kind : uint8_t {
@@ -59,8 +60,10 @@ class StringFn {
   /// Debug form, e.g. "SubStr(MatchPos(TC, 1, B), MatchPos(Tl, 1, E))".
   std::string ToString() const;
 
-  /// Canonical byte key for interning; injective over StringFn values.
-  std::string Key() const;
+  /// Structural hash over the kind and the fields that kind uses (the
+  /// constant; both position functions; the affix term and k). Equal
+  /// functions hash equal; the interner confirms hits with operator==.
+  uint64_t Hash() const;
 
   bool operator==(const StringFn& o) const;
   bool operator<(const StringFn& o) const;

@@ -1,9 +1,6 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <optional>
 
 #include "text/char_class.h"
 #include "text/terms.h"
@@ -139,38 +136,49 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   // Appendix-E pruning: with a scorer, ConstantStr(t[i,j)) is added only if
   // no extension substring scores strictly higher. Scores for all (i, j)
   // are precomputed, then extension maxima by prefix/suffix sweeps, so the
-  // check is O(1) per edge instead of O(|t|) scorer lookups.
-  std::vector<std::vector<double>> score, left_ext_max, right_ext_max;
+  // check is O(1) per edge instead of O(|t|) scorer lookups. Only class
+  // tokens can score above 0 (TermScorer::Score), so the scorer is asked
+  // only about substrings of t that are one character or lie inside one
+  // non-kOther class run of t; every other score stays 0.
+  const int width = m + 2;
+  std::vector<double> score, left_ext_max, right_ext_max;
+  auto at = [width](int i, int j) { return static_cast<size_t>(i * width + j); };
   if (options_.scorer != nullptr) {
-    score.assign(m + 2, std::vector<double>(m + 2, 0.0));
+    score.assign(static_cast<size_t>(width * width), 0.0);
     left_ext_max = score;
     right_ext_max = score;
     for (int i = 1; i <= m; ++i) {
-      for (int j = i + 1; j <= m + 1; ++j) {
-        score[i][j] = options_.scorer->Score(t.substr(i - 1, j - i));
+      // t[i, run_end) is the longest substring from i inside one class run.
+      int run_end = i + 1;
+      const CharClass c = ClassOf(t[i - 1]);
+      if (c != CharClass::kOther) {
+        while (run_end <= m && ClassOf(t[run_end - 1]) == c) ++run_end;
+      }
+      for (int j = i + 1; j <= run_end; ++j) {
+        score[at(i, j)] = options_.scorer->Score(t.substr(i - 1, j - i));
       }
     }
     // left_ext_max[i][j] = max over k < i of score[k][j].
     for (int j = 2; j <= m + 1; ++j) {
       double running = 0.0;
       for (int i = 1; i < j; ++i) {
-        left_ext_max[i][j] = running;
-        running = std::max(running, score[i][j]);
+        left_ext_max[at(i, j)] = running;
+        running = std::max(running, score[at(i, j)]);
       }
     }
     // right_ext_max[i][j] = max over l > j of score[i][l].
     for (int i = 1; i <= m; ++i) {
       double running = 0.0;
       for (int j = m + 1; j > i; --j) {
-        right_ext_max[i][j] = running;
-        running = std::max(running, score[i][j]);
+        right_ext_max[at(i, j)] = running;
+        running = std::max(running, score[at(i, j)]);
       }
     }
   }
   auto const_allowed = [&](int i, int j) {
     if (options_.scorer == nullptr) return true;
-    return left_ext_max[i][j] <= score[i][j] &&
-           right_ext_max[i][j] <= score[i][j];
+    return left_ext_max[at(i, j)] <= score[at(i, j)] &&
+           right_ext_max[at(i, j)] <= score[at(i, j)];
   };
 
   // Class-token boundaries of t, for the token_aligned_labels restriction.
@@ -242,57 +250,13 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
 }
 
 Result<std::vector<TransformationGraph>> GraphBuilder::BuildBatch(
-    const std::vector<BuildRequest>& requests, ThreadPool* pool) const {
-  const size_t n = requests.size();
+    const std::vector<BuildRequest>& requests, ThreadPool* /*pool*/) const {
   std::vector<TransformationGraph> graphs;
-  graphs.reserve(n);
-
-  const bool serial = pool == nullptr || pool->num_threads() <= 1 ||
-                      pool->InWorkerThread() || n < 2;
-  if (serial) {
-    for (const BuildRequest& request : requests) {
-      Result<TransformationGraph> graph =
-          Build(request.source, request.target);
-      if (!graph.ok()) return graph.status();
-      graphs.push_back(std::move(graph).value());
-    }
-    return graphs;
-  }
-
-  // Parallel phase: every graph gets a private interner, so construction
-  // is lock-free and the shared interner is untouched until the merge.
-  struct Shard {
-    std::unique_ptr<LabelInterner> interner;
-    std::optional<TransformationGraph> graph;
-    Status status;
-  };
-  std::vector<Shard> shards(n);
-  ParallelFor(pool, n, [&](size_t i) {
-    Shard& shard = shards[i];
-    shard.interner = std::make_unique<LabelInterner>();
-    GraphBuilder local(options_, shard.interner.get());
-    Result<TransformationGraph> graph =
-        local.Build(requests[i].source, requests[i].target);
-    if (graph.ok()) {
-      shard.graph.emplace(std::move(graph).value());
-    } else {
-      shard.status = graph.status();
-    }
-  });
-
-  // Merge phase, sequential in request order: folding shard i's labels in
-  // local-id order replays the exact label first-sight sequence of the
-  // serial loop, so the shared interner ends up byte-for-byte the same.
-  std::vector<LabelId> remap;
-  for (Shard& shard : shards) {
-    if (!shard.status.ok()) return shard.status;
-    remap.clear();
-    remap.reserve(shard.interner->size());
-    for (LabelId local = 0; local < shard.interner->size(); ++local) {
-      remap.push_back(interner_->Intern(shard.interner->Get(local)));
-    }
-    shard.graph->RemapLabels(remap);
-    graphs.push_back(std::move(*shard.graph));
+  graphs.reserve(requests.size());
+  for (const BuildRequest& request : requests) {
+    Result<TransformationGraph> graph = Build(request.source, request.target);
+    if (!graph.ok()) return graph.status();
+    graphs.push_back(std::move(graph).value());
   }
   return graphs;
 }

@@ -6,6 +6,7 @@
 #define USTL_GRAPH_TERM_SCORER_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -17,21 +18,36 @@ namespace ustl {
 class TermScorer {
  public:
   virtual ~TermScorer() = default;
-  /// Higher is better; 0 means "unknown token".
+  /// Higher is better; 0 means "unknown token". Only class tokens (one
+  /// character, or a run of one non-kOther class) may score above 0:
+  /// GraphBuilder asks for nothing else and takes every other string's
+  /// score to be 0.
   virtual double Score(std::string_view token) const = 0;
 };
 
 /// Token frequencies over a corpus of strings (class tokens = maximal
 /// character-class runs). One instance holds the whole column's counts and
 /// is shared by every structure group's scorer.
+///
+/// The map is keyed by views into `tokens_`, so Get looks a token up
+/// without building a string. A deque never relocates its elements, even
+/// when it is moved, so moves are safe; a copy would keep views into the
+/// source, so copying is deleted.
 class CorpusFrequency {
  public:
+  CorpusFrequency() = default;
+  CorpusFrequency(const CorpusFrequency&) = delete;
+  CorpusFrequency& operator=(const CorpusFrequency&) = delete;
+  CorpusFrequency(CorpusFrequency&&) = default;
+  CorpusFrequency& operator=(CorpusFrequency&&) = default;
+
   /// Counts the class tokens of one string.
   void Add(std::string_view s);
   int64_t Get(std::string_view token) const;
 
  private:
-  std::unordered_map<std::string, int64_t> freq_;
+  std::deque<std::string> tokens_;
+  std::unordered_map<std::string_view, int64_t> freq_;
 };
 
 /// freqStruc / sqrt(freqGlobal). Build one per structure group: feed the

@@ -33,18 +33,6 @@ void TransformationGraph::AddLabel(int from, int to, LabelId label) {
   if (lit == labels.end() || *lit != label) labels.insert(lit, label);
 }
 
-void TransformationGraph::RemapLabels(const std::vector<LabelId>& remap) {
-  for (auto& edges : adjacency_) {
-    for (GraphEdge& edge : edges) {
-      for (LabelId& label : edge.labels) {
-        USTL_DCHECK(label < remap.size());
-        label = remap[label];
-      }
-      std::sort(edge.labels.begin(), edge.labels.end());
-    }
-  }
-}
-
 size_t TransformationGraph::TotalLabelCount() const {
   size_t count = 0;
   for (const auto& edges : adjacency_) {

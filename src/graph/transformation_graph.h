@@ -44,12 +44,6 @@ class TransformationGraph {
   /// Labels within an edge are kept sorted and unique.
   void AddLabel(int from, int to, LabelId label);
 
-  /// Rewrites every label id through `remap` (indexed by the old id) and
-  /// restores the per-edge sorted order. Used when a graph built against a
-  /// shard-local interner is rebased onto the shared one; remapping never
-  /// merges labels because interner ids are injective per function.
-  void RemapLabels(const std::vector<LabelId>& remap);
-
   /// Total number of (edge, label) pairs; used for stats and bounds.
   size_t TotalLabelCount() const;
   /// Number of edges with at least one label.

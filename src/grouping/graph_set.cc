@@ -27,7 +27,7 @@ Result<GraphSet> GraphSet::Build(const std::vector<StringPair>& pairs,
     requests.push_back({pair.lhs, pair.rhs});
   }
   Result<std::vector<TransformationGraph>> graphs =
-      builder.BuildBatch(requests, pool);
+      builder.BuildBatch(requests, nullptr);
   if (!graphs.ok()) return graphs.status();
   set.graphs_ = std::move(graphs).value();
   // The interner bounds every label id, so indexing skips its pre-sizing

@@ -58,11 +58,11 @@ class MoveSpan {
 class GraphSet {
  public:
   /// Builds graphs for all pairs with `builder` and indexes them.
-  /// GraphId i corresponds to pairs[i]. A non-null `pool` constructs the
-  /// graphs concurrently (GraphBuilder::BuildBatch) and builds the
-  /// inverted index in label-range shards (InvertedIndex::Build); the
-  /// result — graphs, interner ids and index — is bit-identical to the
-  /// serial build. The pool also builds the move table in graph chunks.
+  /// GraphId i corresponds to pairs[i]. The graphs are built on the
+  /// calling thread (GraphBuilder::BuildBatch). A non-null `pool` builds
+  /// the inverted index in label-range shards (InvertedIndex::Build) and
+  /// the move table in graph chunks; the result — graphs, interner ids,
+  /// index and move table — is bit-identical to the serial build.
   /// `index_options` is inert (see IndexBuildOptions).
   static Result<GraphSet> Build(const std::vector<StringPair>& pairs,
                                 const GraphBuilder& builder,

@@ -1,5 +1,6 @@
 #include "text/terms.h"
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -25,6 +26,12 @@ Term Term::Constant(std::string literal) {
 std::string Term::ToString() const {
   if (is_regex_) return CharClassTermName(char_class_);
   return "T\"" + EscapeForDisplay(literal_) + "\"";
+}
+
+uint64_t Term::Hash() const {
+  uint64_t hash = HashMix(kHashSeed, is_regex_);
+  hash = HashMix(hash, static_cast<uint64_t>(char_class_));
+  return HashFinish(HashBytes(hash, literal_));
 }
 
 std::vector<TermMatch> FindMatches(const Term& term, std::string_view s) {

@@ -6,6 +6,7 @@
 #ifndef USTL_TEXT_TERMS_H_
 #define USTL_TEXT_TERMS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,9 @@ class Term {
 
   /// "Td", "Tl", "TC", "Tb" or "T\"literal\"".
   std::string ToString() const;
+
+  /// Structural hash; equal terms hash equal.
+  uint64_t Hash() const;
 
   bool operator==(const Term& o) const {
     return is_regex_ == o.is_regex_ && char_class_ == o.char_class_ &&

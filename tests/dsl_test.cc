@@ -3,6 +3,9 @@
 // (Example B.3 / Figures 3-4), and the label interner.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dsl/interner.h"
 #include "dsl/position.h"
 #include "dsl/program.h"
@@ -61,21 +64,39 @@ TEST(PosFnTest, FigureThreePositions) {
   EXPECT_EQ(PosFn::MatchPos(tc, -1, Dir::kEnd).Eval(kLeeMary), 7);   // PD
 }
 
-TEST(PosFnTest, KeyInjective) {
+// Equal position functions hash equal, and the interner tells every listed
+// one apart (each wrapped as SubStr(p, p)), down to a constant term's
+// literal.
+std::vector<PosFn> DistinctPosFns() {
   Term tc = Term::Regex(CharClass::kUpper);
-  std::vector<PosFn> fns = {
+  return {
       PosFn::ConstPos(1),
       PosFn::ConstPos(-1),
       PosFn::MatchPos(tc, 1, Dir::kBegin),
       PosFn::MatchPos(tc, 1, Dir::kEnd),
       PosFn::MatchPos(tc, -1, Dir::kBegin),
       PosFn::MatchPos(Term::Constant("x"), 1, Dir::kBegin),
+      PosFn::MatchPos(Term::Constant("y"), 1, Dir::kBegin),
   };
+}
+
+TEST(PosFnTest, HashAndInternDistinguishEveryField) {
+  std::vector<PosFn> fns = DistinctPosFns();
+  std::vector<PosFn> again = DistinctPosFns();
+  LabelInterner interner;
+  std::vector<LabelId> ids;
+  for (const PosFn& fn : fns) {
+    ids.push_back(interner.Intern(StringFn::SubStr(fn, fn)));
+  }
   for (size_t i = 0; i < fns.size(); ++i) {
+    EXPECT_EQ(fns[i].Hash(), again[i].Hash()) << i;
+    EXPECT_EQ(interner.Intern(StringFn::SubStr(again[i], again[i])), ids[i]);
     for (size_t j = 0; j < fns.size(); ++j) {
-      EXPECT_EQ(fns[i].Key() == fns[j].Key(), i == j);
+      EXPECT_EQ(fns[i] == again[j], i == j);
+      EXPECT_EQ(ids[i] == ids[j], i == j);
     }
   }
+  EXPECT_EQ(interner.size(), fns.size());
 }
 
 // --- String functions (Example B.2, Appendix D). ---
@@ -132,21 +153,40 @@ TEST(StringFnTest, AffixNegativeK) {
   EXPECT_FALSE(f.CanProduce("Lee, Mary", "ee"));  // that's match 1, not -1
 }
 
-TEST(StringFnTest, KeyInjectiveAcrossKinds) {
+std::vector<StringFn> DistinctStringFns() {
   Term tl = Term::Regex(CharClass::kLower);
-  std::vector<StringFn> fns = {
+  auto constant_term_substr = [](const char* literal) {
+    Term term = Term::Constant(literal);
+    return StringFn::SubStr(PosFn::MatchPos(term, 1, Dir::kBegin),
+                            PosFn::MatchPos(term, 1, Dir::kEnd));
+  };
+  return {
       StringFn::ConstantStr("a"),
+      StringFn::ConstantStr("b"),
       StringFn::SubStr(PosFn::ConstPos(1), PosFn::ConstPos(2)),
+      constant_term_substr("x"),
+      constant_term_substr("y"),
       StringFn::Prefix(tl, 1),
       StringFn::Suffix(tl, 1),
       StringFn::Prefix(tl, 2),
   };
+}
+
+TEST(StringFnTest, HashAndInternDistinguishAcrossKinds) {
+  std::vector<StringFn> fns = DistinctStringFns();
+  std::vector<StringFn> again = DistinctStringFns();
+  LabelInterner interner;
+  std::vector<LabelId> ids;
+  for (const StringFn& fn : fns) ids.push_back(interner.Intern(fn));
   for (size_t i = 0; i < fns.size(); ++i) {
+    EXPECT_EQ(fns[i].Hash(), again[i].Hash()) << i;
+    EXPECT_EQ(interner.Intern(again[i]), ids[i]);
     for (size_t j = 0; j < fns.size(); ++j) {
-      EXPECT_EQ(fns[i] == fns[j], i == j);
-      EXPECT_EQ(fns[i].Key() == fns[j].Key(), i == j);
+      EXPECT_EQ(fns[i] == again[j], i == j);
+      EXPECT_EQ(ids[i] == ids[j], i == j);
     }
   }
+  EXPECT_EQ(interner.size(), fns.size());
 }
 
 // --- Programs (Example B.3 / Figures 3-4). ---
@@ -241,6 +281,24 @@ TEST(InternerTest, RoundTrip) {
   EXPECT_EQ(interner.Get(id), f);
   EXPECT_EQ(interner.Intern(f), id);  // idempotent
   EXPECT_EQ(interner.size(), 1u);
+}
+
+TEST(InternerTest, IdsFollowFirstSightAcrossTableGrowth) {
+  // Enough labels to grow the hash table several times; ids stay dense
+  // and in first-sight order, and every label is still found.
+  LabelInterner interner;
+  constexpr int kLabels = 1000;
+  for (int i = 0; i < kLabels; ++i) {
+    EXPECT_EQ(interner.Intern(StringFn::ConstantStr(std::to_string(i))),
+              static_cast<LabelId>(i));
+  }
+  for (int i = kLabels - 1; i >= 0; --i) {
+    LabelId id = 0;
+    ASSERT_TRUE(interner.Lookup(StringFn::ConstantStr(std::to_string(i)), &id));
+    EXPECT_EQ(id, static_cast<LabelId>(i));
+    EXPECT_EQ(interner.Intern(StringFn::ConstantStr(std::to_string(i))), id);
+  }
+  EXPECT_EQ(interner.size(), static_cast<size_t>(kLabels));
 }
 
 TEST(InternerTest, DistinctFunctionsGetDistinctIds) {

@@ -3,10 +3,12 @@
 // static orders (Appendix E) and the term scorer.
 #include <gtest/gtest.h>
 
+#include "datagen/generators.h"
 #include "dsl/program.h"
 #include "graph/graph_builder.h"
 #include "graph/term_scorer.h"
 #include "graph/transformation_graph.h"
+#include "text/terms.h"
 
 namespace ustl {
 namespace {
@@ -276,6 +278,65 @@ TEST(CorpusFrequencyTest, CountsClassTokens) {
   EXPECT_EQ(corpus.Get("St"), 0);  // "S" and "t" are separate class tokens
   EXPECT_EQ(corpus.Get("S"), 1);
   EXPECT_EQ(corpus.Get("t"), 1);
+  // The lookup keys view the corpus's own token storage; they stay valid
+  // when the corpus is moved, and counting goes on afterwards.
+  corpus.Add("10th Ave");
+  CorpusFrequency moved = std::move(corpus);
+  EXPECT_EQ(moved.Get("th"), 2);
+  EXPECT_EQ(moved.Get("10"), 1);
+  EXPECT_EQ(moved.Get("A"), 1);
+  EXPECT_EQ(moved.Get("ve"), 1);
+  CorpusFrequency assigned;
+  assigned = std::move(moved);
+  assigned.Add("9th");
+  EXPECT_EQ(assigned.Get("9"), 2);
+  EXPECT_EQ(assigned.Get("th"), 3);
+}
+
+// GraphBuilder asks the scorer only about one-character substrings of t
+// and substrings inside one class run; that skip is exact because every
+// other substring scores 0. Checked over every substring of the generated
+// values, with every value fed to both frequency tables.
+TEST(FrequencyTermScorerTest, OnlyClassTokensScore) {
+  AddressGenOptions address;
+  address.scale = 0.05;
+  AuthorListGenOptions authors;
+  authors.scale = 0.05;
+  JournalTitleGenOptions journals;
+  journals.scale = 0.05;
+  for (const GeneratedDataset& data :
+       {GenerateAddressDataset(address), GenerateAuthorListDataset(authors),
+        GenerateJournalTitleDataset(journals)}) {
+    CorpusFrequency global;
+    for (const auto& cluster : data.column) {
+      for (const std::string& value : cluster) global.Add(value);
+    }
+    FrequencyTermScorer scorer(&global);
+    for (const auto& cluster : data.column) {
+      for (const std::string& value : cluster) {
+        scorer.AddStructureString(value);
+      }
+    }
+    size_t zero_checked = 0;
+    for (const auto& cluster : data.column) {
+      for (const std::string& value : cluster) {
+        for (const Token& token : ClassTokens(value)) {
+          EXPECT_GT(scorer.Score(token.text), 0.0) << token.text;
+        }
+        for (size_t i = 0; i < value.size(); ++i) {
+          bool one_class = ClassOf(value[i]) != CharClass::kOther;
+          for (size_t j = i + 2; j <= value.size(); ++j) {
+            one_class = one_class && ClassOf(value[j - 1]) == ClassOf(value[i]);
+            if (one_class) continue;
+            std::string_view sub = std::string_view(value).substr(i, j - i);
+            EXPECT_EQ(scorer.Score(sub), 0.0) << sub;
+            ++zero_checked;
+          }
+        }
+      }
+    }
+    EXPECT_GT(zero_checked, 1000u);
+  }
 }
 
 }  // namespace

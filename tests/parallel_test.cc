@@ -1,6 +1,7 @@
 // Tests for src/common/parallel.h (ThreadPool, ParallelFor, ParallelMap)
-// and the determinism contract of the parallel pipeline: batch graph
-// construction and grouping must be bit-identical for any thread count.
+// and the determinism contract of the parallel pipeline: graph sets
+// (index and move table) and grouping must be bit-identical for any
+// thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,8 @@
 #include "common/parallel.h"
 #include "datagen/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/term_scorer.h"
+#include "grouping/graph_set.h"
 #include "grouping/grouping.h"
 #include "replace/replacement_store.h"
 
@@ -130,40 +133,47 @@ std::vector<StringPair> DatasetPairs(GeneratedDataset* data) {
   return store.pairs();
 }
 
-TEST(ParallelDeterminismTest, BuildBatchMatchesSerialBuildBitForBit) {
+// Graphs are built on the calling thread; the pool shards the index
+// build and chunks the move table. A GraphSet built on a 4-thread pool
+// must equal the serial one in every part, with the Appendix-E scorer
+// set as the grouping engine runs it.
+TEST(ParallelDeterminismTest, GraphSetBuildMatchesSerialBuildBitForBit) {
   GeneratedDataset data;
   std::vector<StringPair> pairs = DatasetPairs(&data);
   ASSERT_GT(pairs.size(), 50u);
 
-  std::vector<GraphBuilder::BuildRequest> requests;
-  for (const StringPair& pair : pairs) requests.push_back({pair.lhs, pair.rhs});
+  CorpusFrequency global;
+  FrequencyTermScorer scorer(&global);
+  for (const StringPair& pair : pairs) {
+    global.Add(pair.lhs);
+    global.Add(pair.rhs);
+    scorer.AddStructureString(pair.lhs);
+    scorer.AddStructureString(pair.rhs);
+  }
+  GraphBuilderOptions options;
+  options.scorer = &scorer;
 
   LabelInterner serial_interner;
-  GraphBuilder serial_builder(GraphBuilderOptions{}, &serial_interner);
-  std::vector<TransformationGraph> serial_graphs;
-  for (const StringPair& pair : pairs) {
-    Result<TransformationGraph> graph = serial_builder.Build(pair.lhs, pair.rhs);
-    ASSERT_TRUE(graph.ok());
-    serial_graphs.push_back(std::move(graph).value());
-  }
+  GraphBuilder serial_builder(options, &serial_interner);
+  Result<GraphSet> serial = GraphSet::Build(pairs, serial_builder, nullptr);
+  ASSERT_TRUE(serial.ok());
 
   ThreadPool pool(4);
-  LabelInterner batch_interner;
-  GraphBuilder batch_builder(GraphBuilderOptions{}, &batch_interner);
-  Result<std::vector<TransformationGraph>> batch =
-      batch_builder.BuildBatch(requests, &pool);
-  ASSERT_TRUE(batch.ok());
+  LabelInterner pooled_interner;
+  GraphBuilder pooled_builder(options, &pooled_interner);
+  Result<GraphSet> pooled = GraphSet::Build(pairs, pooled_builder, &pool);
+  ASSERT_TRUE(pooled.ok());
 
-  // The shared interners must assign identical ids in identical order...
-  ASSERT_EQ(batch_interner.size(), serial_interner.size());
+  // The interners must assign identical ids in identical order...
+  ASSERT_EQ(pooled_interner.size(), serial_interner.size());
   for (LabelId id = 0; id < serial_interner.size(); ++id) {
-    EXPECT_TRUE(serial_interner.Get(id) == batch_interner.Get(id)) << id;
+    EXPECT_TRUE(serial_interner.Get(id) == pooled_interner.Get(id)) << id;
   }
-  // ...and every graph must carry identical edges and label ids.
-  ASSERT_EQ(batch->size(), serial_graphs.size());
-  for (size_t g = 0; g < serial_graphs.size(); ++g) {
-    const TransformationGraph& a = serial_graphs[g];
-    const TransformationGraph& b = (*batch)[g];
+  // ...every graph must carry identical edges, label ids and moves...
+  ASSERT_EQ(pooled->size(), serial->size());
+  for (GraphId g = 0; g < serial->size(); ++g) {
+    const TransformationGraph& a = serial->graph(g);
+    const TransformationGraph& b = pooled->graph(g);
     ASSERT_EQ(a.num_nodes(), b.num_nodes());
     for (int node = 1; node <= a.num_nodes(); ++node) {
       const auto& ea = a.edges_from(node);
@@ -173,6 +183,28 @@ TEST(ParallelDeterminismTest, BuildBatchMatchesSerialBuildBitForBit) {
         EXPECT_EQ(ea[e].to, eb[e].to);
         EXPECT_EQ(ea[e].labels, eb[e].labels);
       }
+      MoveSpan ma = serial->moves(g, node);
+      MoveSpan mb = pooled->moves(g, node);
+      ASSERT_EQ(ma.size(), mb.size()) << g << ":" << node;
+      for (size_t k = 0; k < ma.size(); ++k) {
+        EXPECT_EQ(ma.begin()[k].label, mb.begin()[k].label);
+        EXPECT_EQ(ma.begin()[k].list_length, mb.begin()[k].list_length);
+        EXPECT_EQ(ma.begin()[k].to, mb.begin()[k].to);
+      }
+    }
+  }
+  // ...and the index must hold the same twin classes and postings.
+  const InvertedIndex& ia = serial->index();
+  const InvertedIndex& ib = pooled->index();
+  EXPECT_EQ(ia.NumPostings(), ib.NumPostings());
+  EXPECT_EQ(ia.NumTwinClasses(), ib.NumTwinClasses());
+  for (LabelId label = 0; label < serial_interner.size() + 2; ++label) {
+    EXPECT_EQ(ia.TwinClass(label), ib.TwinClass(label)) << label;
+    const PostingList& a = ia.Find(label);
+    const PostingList& b = ib.Find(label);
+    ASSERT_EQ(a.size(), b.size()) << "label " << label;
+    for (size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a[k].bits(), b[k].bits()) << "label " << label << " #" << k;
     }
   }
 }

@@ -41,14 +41,23 @@ echo "column-parallel smoke: byte-identical"
 
 # Wave-scan / search-cache byte-compare: grouped output — and therefore
 # the standardized table — must be byte-identical across --threads {1,4}
-# x --search-cache {on,off}. The serial cache-on run is the
-# smoke_serial.csv baseline above.
-for config in "--threads 4" "--search-cache off" \
-              "--threads 4 --search-cache off"; do
-  # shellcheck disable=SC2086
-  ./build/ustl-consolidate --input build/smoke_columns.csv \
-    --output build/smoke_wave.csv --approve all --budget 40 $config
-  cmp build/smoke_serial.csv build/smoke_wave.csv
+# x --search-cache {on,off}, on the address table above and on an
+# authorlist table (other value shapes, other structure groups). Each
+# table's serial cache-on run is its baseline.
+./build/ustl-generate --dataset authorlist --scale 0.05 \
+  --out build/smoke_authors.csv
+./build/ustl-consolidate --input build/smoke_authors.csv \
+  --output build/smoke_authors_serial.csv --approve all --budget 40
+for table in columns authors; do
+  if [ "$table" = columns ]; then base=build/smoke_serial.csv
+  else base=build/smoke_authors_serial.csv; fi
+  for config in "--threads 4" "--search-cache off" \
+                "--threads 4 --search-cache off"; do
+    # shellcheck disable=SC2086
+    ./build/ustl-consolidate --input "build/smoke_$table.csv" \
+      --output build/smoke_wave.csv --approve all --budget 40 $config
+    cmp "$base" build/smoke_wave.csv
+  done
 done
 echo "wave-scan/search-cache smoke: byte-identical"
 

@@ -62,9 +62,9 @@ void Usage() {
       "                        [--oracle-cache on|off (default: on)]\n"
       "                        [--search-cache on|off (default: on)]\n"
       "\n"
-      "--threads parallelizes grouping (graph construction, structure-"
-      "group\npreprocessing, and the pivot searches within one structure "
-      "group);\nresults are identical for any thread count.\n"
+      "--threads parallelizes grouping (structure-group preprocessing, "
+      "the index\nand move table within one structure group, and its "
+      "pivot searches);\nresults are identical for any thread count.\n"
       "--column-parallel standardizes all columns concurrently on the "
       "thread\nbudget (pipeline subsystem); output stays byte-identical. "
       "Requires\n--approve all (a human can't answer interleaved "
