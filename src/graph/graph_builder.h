@@ -74,8 +74,8 @@ class GraphBuilder {
 
   /// Builds the graphs of one structure group, in request order: the
   /// serial loop over Build against the shared interner. Structure groups
-  /// are small (on the address tables 6,072 of 8,868 graphs sit in groups
-  /// of 2-15), so per-graph parallelism cost more in wake-ups and in
+  /// are small (3.7 graphs on average on the address tables), so
+  /// per-graph parallelism cost more in wake-ups and in
   /// re-interning every label than the build itself; parallelism comes
   /// from building several structure groups at once instead. `pool` is
   /// unused; it stays in the signature because bench_e2e/replay.cc calls
